@@ -11,7 +11,7 @@ import (
 
 // The batch-experiment harness (internal/harness) exposed through the
 // facade: declare a matrix of models × traces × scenarios × trace
-// lengths, execute it on a sharded worker pool, stream records to a
+// lengths, execute it on a local worker pool, stream records to a
 // sink, and diff runs against a JSONL baseline. cmd/bpbench is a thin
 // wrapper over these entry points.
 type (
@@ -46,28 +46,6 @@ type (
 	// provenance).
 	BenchCompactOpts = harness.CompactOpts
 )
-
-// BenchWarmCacheDir is the conventional checkpoint blob directory for
-// a result store: the store path plus ".ckpt" (what BenchConfig's
-// WarmCache field conventionally points at).
-func BenchWarmCacheDir(storePath string) string { return harness.WarmCacheDir(storePath) }
-
-// BenchWarmCacheStats reads the warm-cache hit/miss counters off a
-// registry a run was executed with (both zero before any warm-cache
-// run, or on a nil registry).
-func BenchWarmCacheStats(reg *MetricsRegistry) (hits, misses uint64) {
-	if reg == nil {
-		return 0, 0
-	}
-	s := reg.Snapshot()
-	if smp, ok := s.Sample(harness.MetricWarmCacheHits); ok {
-		hits = uint64(smp.Value)
-	}
-	if smp, ok := s.Sample(harness.MetricWarmCacheMisses); ok {
-		misses = uint64(smp.Value)
-	}
-	return hits, misses
-}
 
 // ParseScenario maps a scenario flag value ("I", "A", "B", "C", case
 // insensitive) to its Scenario; it is the single flag→Scenario mapping

@@ -1,5 +1,5 @@
 // Command bpbench sweeps a declarative experiment matrix — models ×
-// traces × update scenarii × trace lengths — on a sharded worker pool
+// traces × update scenarii × trace lengths — on a local worker pool
 // and streams per-cell plus aggregate records to a table, JSONL or CSV
 // sink. A saved JSONL run doubles as a baseline for regression diffing:
 //
@@ -12,9 +12,6 @@
 //	bpbench compact store.jsonl -dry-run   # store lifecycle maintenance
 //	bpbench compact store.jsonl -prune-drift   # drop cells from other SHAs
 //	bpbench diff -provenance old.jsonl new.jsonl -tolerance 0.05
-//	bpbench serve -addr :9090 -store dist.jsonl   # distributed sweep coordinator
-//	bpbench work -connect http://host:9090   # pull worker for a coordinator
-//	bpbench merge a.jsonl b.jsonl -o out.jsonl   # union partial result stores
 //	bpbench -list
 //
 // -models accepts model specs — named models ("tage-lsc") or any
@@ -85,15 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) > 0 && args[0] == "compact" {
 		return runCompact(args[1:], stdout, stderr)
 	}
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], stdout, stderr, nil)
-	}
-	if len(args) > 0 && args[0] == "work" {
-		return runWork(args[1:], stdout, stderr, nil)
-	}
-	if len(args) > 0 && args[0] == "merge" {
-		return runMerge(args[1:], stdout, stderr)
-	}
 	fs := flag.NewFlagSet("bpbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -110,14 +98,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format      = fs.String("format", "table", "output format: table, jsonl or csv")
 		outPath     = fs.String("o", "", "write records to this file instead of stdout")
 		parallel    = fs.Int("parallelism", 0, "max concurrent jobs (default: NumCPU)")
-		cellPar     = fs.Int("cell-par", 0, "intra-cell workers: shard each cell group's traces across this many goroutines (deterministic; 0/1 = off)")
 		window      = fs.Int("window", 0, "in-flight branch window (default 24)")
 		execDelay   = fs.Int("execdelay", 0, "fetch-to-execute distance in branches (default 6)")
-		warmCache   = fs.Bool("warm-cache", false, "checkpoint every cell into a store-adjacent blob cache (derived from -resume or -o: path + \".ckpt/\") and warm-start matching cells from it on repeat runs")
-		warmDir     = fs.String("warm-cache-dir", "", "blob cache directory for -warm-cache (overrides the derived location; implies -warm-cache)")
-		ckEvery     = fs.Uint64("checkpoint-every", 0, "periodic checkpoint interval in branches for -warm-cache (default 1000000)")
 		noCache     = fs.Bool("notracecache", false, "regenerate the trace for every job instead of sharing per (trace, length)")
-		noPool      = fs.Bool("nopredictorpool", false, "construct a fresh predictor per cell instead of Reset-reusing a pooled instance per worker")
 		noAgg       = fs.Bool("noaggregates", false, "suppress category/hard/suite rollup records")
 		perf        = fs.Bool("perf", false, "print a simulator-throughput (branches/sec) table to stderr after the run")
 		list        = fs.Bool("list", false, "list models and traces, then exit")
@@ -149,10 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *window < 0 || *execDelay < 0 {
 		log.Error("bpbench: -window and -execdelay must be non-negative (0 = default)")
-		return 2
-	}
-	if *cellPar < 0 {
-		log.Error("bpbench: -cell-par must be non-negative (0 = off)")
 		return 2
 	}
 	lengths, err := parseLengths(*branches)
@@ -277,46 +256,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	m.Window = *window
 	m.ExecDelay = *execDelay
 	m.DeltaLogs = deltas
-	m.IntraCellWorkers = *cellPar
 
 	// Every record bpbench writes — stdout, -o file, or resume store —
 	// is stamped with the revision that produced it, so saved runs stay
 	// interpretable after the predictor changes underneath them.
 	prov := repro.CurrentProvenance()
-	cfg := repro.BenchConfig{Parallelism: *parallel, IntraCellWorkers: *cellPar, NoTraceCache: *noCache, NoAggregates: *noAgg, NoPredictorPool: *noPool, Provenance: &prov, Metrics: reg}
-	if *warmDir != "" {
-		*warmCache = true
-	}
-	if *warmCache {
-		dir := *warmDir
-		if dir == "" {
-			switch {
-			case *resume != "":
-				dir = repro.BenchWarmCacheDir(*resume)
-			case *outPath != "":
-				dir = repro.BenchWarmCacheDir(*outPath)
-			default:
-				log.Error("bpbench: -warm-cache derives its blob directory from -resume or -o; set one, or pass -warm-cache-dir")
-				return 2
-			}
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Error(fmt.Sprintf("bpbench: -warm-cache: %v", err))
-			return 2
-		}
-		if reg == nil {
-			// The hit/miss counters live on a registry; the summary line
-			// below needs one even when nothing else scrapes it.
-			reg = repro.NewMetricsRegistry()
-		}
-		cfg.WarmCache = dir
-		cfg.CheckpointEvery = *ckEvery
-		cfg.Metrics = reg
-		defer func() {
-			hits, misses := repro.BenchWarmCacheStats(reg)
-			log.Info(fmt.Sprintf("bpbench: warm cache %s: %d hits, %d misses", dir, hits, misses))
-		}()
-	}
+	cfg := repro.BenchConfig{Parallelism: *parallel, NoTraceCache: *noCache, NoAggregates: *noAgg, Provenance: &prov, Metrics: reg}
 	if *resume != "" {
 		// The store is the output: format and destination are fixed.
 		if *outPath != "" {

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -94,16 +92,15 @@ func TestTraceSweepExpandsCells(t *testing.T) {
 	}
 }
 
-// TestSpecDeterministicAcrossCellPar: the same generator spec + seed
-// measures identically no matter how many intra-cell workers simulate
-// it.
-func TestSpecDeterministicAcrossCellPar(t *testing.T) {
-	cells := func(cellPar string) map[string]repro.BenchRecord {
+// TestSpecDeterministicAcrossParallelism: the same generator spec +
+// seed measures identically no matter how many workers simulate it.
+func TestSpecDeterministicAcrossParallelism(t *testing.T) {
+	cells := func(par string) map[string]repro.BenchRecord {
 		code, out, errOut := runCapture(t, "-models", "tage", "-traces", "mix:loopy=2,datadep=1#3",
 			"-scenarios", "A,C", "-branches", "5000", "-format", "jsonl", "-noaggregates",
-			"-cell-par", cellPar)
+			"-parallelism", par)
 		if code != 0 {
-			t.Fatalf("-cell-par %s exited %d:\n%s", cellPar, code, errOut)
+			t.Fatalf("-parallelism %s exited %d:\n%s", par, code, errOut)
 		}
 		recs, err := repro.ReadBenchRecords(strings.NewReader(out))
 		if err != nil {
@@ -117,25 +114,25 @@ func TestSpecDeterministicAcrossCellPar(t *testing.T) {
 		}
 		return m
 	}
-	serial, par := cells("1"), cells("4")
+	serial, par := cells("1"), cells("2")
 	if len(serial) != 2 || len(par) != 2 {
 		t.Fatalf("cell counts %d/%d, want 2", len(serial), len(par))
 	}
 	for k, s := range serial {
 		if p := par[k]; p != s {
-			t.Fatalf("cell %s differs across -cell-par:\n1: %+v\n4: %+v", k, s, p)
+			t.Fatalf("cell %s differs across -parallelism:\n1: %+v\n2: %+v", k, s, p)
 		}
 	}
 }
 
 // TestExternalTraceLocalVsDistributed is the acceptance end-to-end for
 // file-backed workloads: a trace converted from CBP text runs through a
-// local -resume store AND through serve/work (the worker regenerating
-// it from the shipped path), and the two record sets are identical.
+// -resume store under its content-hash identity, keeping the path it was
+// given as the record's trace_spec. A second process holding a copy of
+// the same file under another path — a partition of the sweep run on
+// another host — measures identical cells, and the two partial stores
+// merge by concatenation: resuming against it reuses every cell.
 func TestExternalTraceLocalVsDistributed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distributed e2e in -short mode")
-	}
 	dir := t.TempDir()
 
 	// Convert a text trace the way an external user would. The sample
@@ -153,23 +150,35 @@ func TestExternalTraceLocalVsDistributed(t *testing.T) {
 	if st.Conditional == 0 {
 		t.Fatal("sample converted to zero branches")
 	}
+	writeBPT := func(path string) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repro.WriteTrace(f, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	bpt := filepath.Join(dir, "sample.bpt")
-	f, err := os.Create(bpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repro.WriteTrace(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeBPT(bpt)
 
-	// Local run through a resume store.
-	local := filepath.Join(dir, "local.jsonl")
-	if code, _, errOut := runCapture(t, "-models", "tage,gshare", "-traces", "file:"+bpt,
-		"-scenarios", "A", "-branches", "400", "-resume", local); code != 0 {
-		t.Fatalf("local run exited %d:\n%s", code, errOut)
+	run := func(path, store string) map[string]repro.BenchRecord {
+		t.Helper()
+		if code, _, errOut := runCapture(t, "-models", "tage,gshare", "-traces", "file:"+path,
+			"-scenarios", "A", "-branches", "400", "-resume", store); code != 0 {
+			t.Fatalf("run on %s exited %d:\n%s", path, code, errOut)
+		}
+		return readCells(t, store)
 	}
-	localCells := readCells(t, local)
+
+	local := filepath.Join(dir, "local.jsonl")
+	localCells := run(bpt, local)
 	if len(localCells) != 2 {
 		t.Fatalf("local store has %d cells, want 2", len(localCells))
 	}
@@ -185,39 +194,48 @@ func TestExternalTraceLocalVsDistributed(t *testing.T) {
 		}
 	}
 
-	// Same matrix through the coordinator/worker pair.
-	base := startServe(t)
-	startWork(t, base)
-	body := fmt.Sprintf(`{"models":["tage","gshare"],"traces":["file:%s"],"scenarios":"A","branches":[400]}`, bpt)
-	resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep returned %s", resp.Status)
-	}
-	dist := filepath.Join(dir, "dist.jsonl")
-	df, err := os.Create(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := df.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	df.Close()
-
-	distCells := readCells(t, dist)
-	if len(distCells) != len(localCells) {
-		t.Fatalf("distributed produced %d cells, local %d", len(distCells), len(localCells))
+	// The same matrix in another process over a copy at another path.
+	copied := filepath.Join(dir, "elsewhere", "copy.bpt")
+	writeBPT(copied)
+	remote := filepath.Join(dir, "remote.jsonl")
+	remoteCells := run(copied, remote)
+	if len(remoteCells) != len(localCells) {
+		t.Fatalf("remote produced %d cells, local %d", len(remoteCells), len(localCells))
 	}
 	for k, l := range localCells {
-		d, ok := distCells[k]
+		r, ok := remoteCells[k]
 		if !ok {
-			t.Fatalf("distributed run missing cell %s", k)
+			t.Fatalf("remote run missing cell %s", k)
 		}
-		if l != d {
-			t.Fatalf("cell %s differs local vs distributed:\nlocal: %+v\ndist:  %+v", k, l, d)
+		if r.TraceSpec != "file:"+copied {
+			t.Fatalf("%s: remote trace_spec %q, want its own path", k, r.TraceSpec)
 		}
+		r.TraceSpec = l.TraceSpec
+		if l != r {
+			t.Fatalf("cell %s differs local vs remote:\nlocal:  %+v\nremote: %+v", k, l, r)
+		}
+	}
+
+	// Merge the partial stores by concatenation; the content hash pins
+	// the cells, so the differing paths are no conflict.
+	var merged []byte
+	for _, p := range []string{remote, local} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = append(merged, b...)
+	}
+	store := filepath.Join(dir, "merged.jsonl")
+	if err := os.WriteFile(store, merged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := runCapture(t, "-models", "tage,gshare", "-traces", "file:"+bpt,
+		"-scenarios", "A", "-branches", "400", "-resume", store)
+	if code != 0 {
+		t.Fatalf("resume of the merged store exited %d:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "reused 2 of 2 cells, ran 0") {
+		t.Fatalf("resume of the merged store should reuse every cell:\n%s", errOut)
 	}
 }

@@ -42,21 +42,10 @@ func main() {
 	traceName := flag.String("trace", "", "single workload to run: a benchmark name or trace spec like 'phased:period=4096#1' (default: all 40 benchmarks)")
 	branches := flag.Int("branches", 500000, "branches per trace")
 	window := flag.Int("window", 24, "in-flight branch window")
-	cellPar := flag.Int("cell-par", 1, "run traces across this many goroutines (deterministic: per-trace results are byte-identical to a serial run)")
-	ckPath := flag.String("checkpoint", "", "checkpoint blob file for a single-trace run: resume from it when present, keep the latest simulation checkpoint in it while running (requires -trace)")
 	list := flag.Bool("list", false, "list models and traces, then exit")
 	verbose, quiet := cli.Verbosity(flag.CommandLine)
 	flag.Parse()
 	log := cli.NewLogger(os.Stderr, *verbose, *quiet)
-
-	if *cellPar < 1 {
-		log.Error(fmt.Sprintf("bpsim: -cell-par must be >= 1 (got %d)", *cellPar))
-		os.Exit(2)
-	}
-	if *ckPath != "" && *traceName == "" {
-		log.Error("bpsim: -checkpoint snapshots one simulation; name the trace with -trace")
-		os.Exit(2)
-	}
 
 	if *list {
 		fmt.Println("models: ", strings.Join(repro.ModelNames(), " "))
@@ -74,29 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 	opt := repro.Options{Scenario: sc, Window: *window}
-	if *ckPath != "" {
-		// Resume from an earlier checkpoint when one is on disk (a blob
-		// the simulator cannot use — wrong model, wrong pipeline — is
-		// reported and the run falls back to a cold start), and keep the
-		// file pointing at the latest checkpoint while running, so a
-		// killed long run continues mid-trace next time.
-		if blob, err := os.ReadFile(*ckPath); err == nil {
-			opt.Resume = &repro.Checkpoint{Blob: blob}
-		}
-		opt.CheckpointEvery = 1_000_000
-		opt.OnCheckpoint = func(blob []byte, at uint64) {
-			tmp := *ckPath + ".tmp"
-			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-				log.Warn(fmt.Sprintf("bpsim: -checkpoint: %v", err))
-				return
-			}
-			if err := os.Rename(tmp, *ckPath); err != nil {
-				os.Remove(tmp)
-				log.Warn(fmt.Sprintf("bpsim: -checkpoint: %v", err))
-			}
-		}
-	}
-
 	names := repro.TraceNames()
 	if *traceName != "" {
 		names = []string{*traceName}
@@ -105,11 +71,7 @@ func main() {
 	fmt.Printf("# model=%s storage=%dKbit scenario=%s branches/trace=%d\n",
 		m.Name(), m.StorageBits()/1024, sc, *branches)
 
-	// With -cell-par 1 the suite still goes through one pooled instance
-	// (RunSuite's single shard): the predictor's tables and the simulation
-	// buffers are allocated once and Reset between traces, which is
-	// byte-identical to a fresh instance per trace.
-	results, err := m.RunSuite(names, *branches, opt, *cellPar)
+	results, err := m.RunSuite(names, *branches, opt)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpsim: %v", err))
 		os.Exit(1)
@@ -117,11 +79,6 @@ func main() {
 	suite := &repro.Suite{}
 	for _, res := range results {
 		suite.Add(res)
-		if res.ResumeErr != nil {
-			log.Warn(fmt.Sprintf("bpsim: checkpoint unusable, ran cold: %v", res.ResumeErr))
-		} else if res.ResumedAt > 0 {
-			log.Info(fmt.Sprintf("bpsim: %s resumed from checkpoint at branch %d", res.Trace, res.ResumedAt))
-		}
 		fmt.Printf("%-10s MPKI=%7.3f MPPKI=%8.2f mispredict=%5.2f%% accesses/branch=%.3f\n",
 			res.Trace, res.MPKI, res.MPPKI, 100*res.Misprediction,
 			res.Access.AccessesPerBranch())

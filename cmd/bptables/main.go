@@ -32,32 +32,20 @@ func main() {
 	branches := flag.Int("branches", 200000, "branches per trace")
 	markdown := flag.Bool("markdown", false, "emit markdown instead of text")
 	store := flag.String("store", "", "resumable JSONL result store for the harness-backed sweeps (E11): interrupted runs continue, complete ones re-render for free")
-	warm := flag.Bool("warm-cache", false, "keep a checkpoint blob cache next to -store (store + \".ckpt/\"): cells warm-start from cached snapshots and interrupted cells resume mid-trace (requires -store)")
 	model := flag.String("model", "", "evaluate this model spec over the full suite instead of running experiments (scenario A)")
-	cellPar := flag.Int("cell-par", 0, "intra-cell workers for harness-backed runs: shard each cell group's traces across this many goroutines (deterministic; 0/1 = off)")
 	verbose, quiet := cli.Verbosity(flag.CommandLine)
 	flag.Parse()
 	log := cli.NewLogger(os.Stderr, *verbose, *quiet)
-
-	if *cellPar < 0 {
-		log.Error(fmt.Sprintf("bptables: -cell-par must be >= 0 (got %d)", *cellPar))
-		os.Exit(2)
-	}
-
-	if *warm && *store == "" {
-		log.Error("bptables: -warm-cache caches checkpoints next to the result store; set -store")
-		os.Exit(2)
-	}
 
 	if *model != "" {
 		if *expFlag != "" || *store != "" || *markdown {
 			log.Error("bptables: -model runs a one-off suite evaluation (plain table only); drop -exp/-store/-markdown")
 			os.Exit(2)
 		}
-		os.Exit(runModelSpec(*model, *branches, *cellPar, log))
+		os.Exit(runModelSpec(*model, *branches, log))
 	}
 
-	cfg := repro.ExperimentConfig{BranchesPerTrace: *branches, ResultStore: *store, IntraCellWorkers: *cellPar, WarmCache: *warm}
+	cfg := repro.ExperimentConfig{BranchesPerTrace: *branches, ResultStore: *store}
 	ids := repro.ExperimentIDs()
 	if *expFlag != "" {
 		ids = strings.Split(*expFlag, ",")
@@ -94,7 +82,7 @@ func main() {
 // runModelSpec evaluates one model spec across the whole benchmark
 // suite through the harness (scenario A, the paper's default reporting
 // scenario) and prints the per-trace table with its aggregates.
-func runModelSpec(spec string, branches, cellPar int, log *slog.Logger) int {
+func runModelSpec(spec string, branches int, log *slog.Logger) int {
 	m, err := repro.NewBenchMatrix([]string{spec}, nil, "A", []int{branches})
 	if err != nil {
 		log.Error(fmt.Sprintf("bptables: %v", err))
@@ -108,7 +96,7 @@ func runModelSpec(spec string, branches, cellPar int, log *slog.Logger) int {
 		log.Error(fmt.Sprintf("bptables: %v", err))
 		return 2
 	}
-	sum, err := repro.RunBench(m, repro.BenchConfig{IntraCellWorkers: cellPar}, sink)
+	sum, err := repro.RunBench(m, repro.BenchConfig{}, sink)
 	if err != nil {
 		log.Error(fmt.Sprintf("bptables: %v", err))
 		return 2

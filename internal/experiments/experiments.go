@@ -31,10 +31,6 @@ type Config struct {
 	ExecDelay int
 	// Parallelism bounds concurrent trace simulations (default NumCPU).
 	Parallelism int
-	// IntraCellWorkers shards each cell group's traces across this many
-	// goroutines in the harness-backed sweeps (see harness.Config); the
-	// results are byte-identical to a serial run. Zero or one disables it.
-	IntraCellWorkers int
 	// ResultStore, when set, routes the harness-backed sweeps (E11's
 	// Figure 9 grid) through the resumable append-only result store at
 	// this path: cells already present are reused, only the missing or
@@ -42,12 +38,6 @@ type Config struct {
 	// — so the most expensive experiment survives interruption and can
 	// be re-rendered for free. Empty keeps the in-memory behaviour.
 	ResultStore string
-	// WarmCache additionally keeps a checkpoint blob cache next to the
-	// store (ResultStore + ".ckpt/"): cells warm-start from their cached
-	// predictor snapshots, so re-running a sweep skips simulation
-	// warm-up and an interrupted long cell resumes mid-trace. Requires
-	// ResultStore.
-	WarmCache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -82,11 +72,8 @@ func (c Config) simOptions(sc predictor.Scenario) sim.Options {
 // reused cells recorded under a different git SHA than HEAD surface as
 // notes for the report rather than vanishing silently.
 func runMatrix(m *harness.Matrix, cfg Config) (recs []harness.Record, notes []string, err error) {
-	hcfg := harness.Config{Parallelism: cfg.Parallelism, IntraCellWorkers: cfg.IntraCellWorkers}
+	hcfg := harness.Config{Parallelism: cfg.Parallelism}
 	if cfg.ResultStore == "" {
-		if cfg.WarmCache {
-			return nil, nil, fmt.Errorf("experiments: WarmCache caches checkpoints next to the result store; set ResultStore")
-		}
 		sum, err := harness.Run(m, hcfg, harness.Discard)
 		if err != nil {
 			return nil, nil, err
@@ -99,9 +86,6 @@ func runMatrix(m *harness.Matrix, cfg Config) (recs []harness.Record, notes []st
 	}
 	prov := harness.CurrentProvenance()
 	hcfg.Provenance = &prov
-	if cfg.WarmCache {
-		hcfg.WarmCache = harness.WarmCacheDir(cfg.ResultStore)
-	}
 	sum, err := harness.ResumeStoreFile(cfg.ResultStore, jobs, hcfg, func(plan *harness.ResumePlan) error {
 		if n := len(plan.ProvenanceDrift); n > 0 {
 			notes = append(notes, fmt.Sprintf(

@@ -216,13 +216,6 @@ func TestCSVAndTableSinks(t *testing.T) {
 	if _, err := NewSink("nope", &tblBuf); err == nil {
 		t.Fatal("unknown format must error")
 	}
-	multi := MultiSink(NewJSONLSink(&bytes.Buffer{}), &collectSink{})
-	if err := multi.Emit(suite); err != nil {
-		t.Fatal(err)
-	}
-	if err := multi.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDiffIgnoresTelemetryFields is the observability regression guard:

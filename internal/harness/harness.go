@@ -1,8 +1,10 @@
 // Package harness is the batch-experiment engine behind cmd/bpbench and
 // the experiments package: a declarative matrix (models × traces ×
 // scenarios × trace lengths, with include/exclude filters) is expanded
-// into jobs and executed by a sharded worker pool with per-job
-// deterministic seeding and panic isolation, streaming one Record per
+// into jobs and executed by a local worker pool — one pooled,
+// Reset-reused predictor per (worker, model), every cell a cold run over
+// the whole trace — with per-job deterministic seeding and panic
+// isolation, streaming one Record per
 // cell — plus per-category, hard-subset and suite-level aggregates — to
 // pluggable sinks (human table, JSONL, CSV). A JSONL run can later serve
 // as the baseline for Diff, which flags per-cell and aggregate
@@ -11,7 +13,7 @@
 //
 // The paper's case for TAGE rests on sweeping exactly this kind of
 // evaluation grid — predictors × 40 traces × update-timing scenarii ×
-// budgets — and the harness is the scale-out substrate for it: one bad
+// budgets — and the harness is the one execution path for it: one bad
 // cell (a panicking predictor) is reported and skipped, not fatal to the
 // sweep.
 package harness
@@ -40,7 +42,7 @@ func ForEach(n, workers int, fn func(i int)) {
 	forEachWorker(n, workers, func(_, i int) { fn(i) })
 }
 
-// forEachWorker is ForEach with the worker's shard id passed to fn —
+// forEachWorker is ForEach with the worker's index passed to fn —
 // the hook per-worker telemetry (jobs in flight per worker) needs,
 // without widening the public pool API.
 func forEachWorker(n, workers int, fn func(worker, i int)) {

@@ -105,7 +105,10 @@ func fakeModel(name string, mpki func(traceName string) float64) Model {
 	return Model{Name: name, Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
 		v := mpki(tr.Name)
 		w, d := opt.Window, opt.ExecDelay
-		if w <= 0 {
+		switch {
+		case opt.Scenario == predictor.ScenarioI:
+			w = 0
+		case w <= 0:
 			w = sim.DefaultWindow
 		}
 		if d <= 0 {

@@ -31,21 +31,9 @@ const (
 	MetricTraceCacheMisses = "bpbench_trace_cache_misses_total"
 	// MetricPredictorPoolHits / Misses count predictor-pool outcomes: a
 	// hit reuses a worker's warmed predictor via Reset, a miss constructs
-	// one (the first cell of each model on each worker or shard).
+	// one (the first cell of each model on each worker).
 	MetricPredictorPoolHits   = "bpbench_predictor_pool_hits_total"
 	MetricPredictorPoolMisses = "bpbench_predictor_pool_misses_total"
-	// MetricWarmCacheHits / Misses count checkpoint-cache outcomes when
-	// Config.WarmCache is set: a hit is a cell that actually warm-started
-	// from a cached blob (skipping its simulated prefix), a miss is a
-	// cold start — no blob, or one the simulator refused and fell back
-	// from.
-	MetricWarmCacheHits   = "bpbench_warm_cache_hits_total"
-	MetricWarmCacheMisses = "bpbench_warm_cache_misses_total"
-	// MetricWarmCacheWriteErrors counts checkpoint blobs that failed to
-	// persist (temp-file create, write or rename error): a read-only or
-	// full cache directory shows up here instead of as a silent
-	// all-misses perf cliff.
-	MetricWarmCacheWriteErrors = "bpbench_warm_cache_write_errors_total"
 	// MetricCellsTotal / MetricCellsDone gauge sweep progress: cells in
 	// the expanded grid and cells completed (reused cells count as done
 	// immediately). Gauges, not counters, so sequential matrices on one
@@ -64,21 +52,6 @@ const (
 	MetricStoreAppendSeconds = "bpbench_store_append_seconds"
 	MetricStoreCrashTails    = "bpbench_store_crash_tails_total"
 	MetricStoreReused        = "bpbench_store_resume_reused_total"
-
-	// Lease telemetry (the distributed sweep service). The counters are
-	// labelled by worker id, so one coordinator /metrics scrape shows
-	// per-worker grant/renew/complete/expire activity and delivered
-	// record counts across the whole farm.
-	MetricLeasesGranted    = "bpbench_leases_granted_total"
-	MetricLeasesCompleted  = "bpbench_leases_completed_total"
-	MetricLeasesExpired    = "bpbench_leases_expired_total"
-	MetricLeaseRenewals    = "bpbench_lease_renewals_total"
-	MetricWorkerRecords    = "bpbench_worker_records_total"
-	MetricLeaseJobsPending = "bpbench_lease_jobs_pending"
-	MetricLeaseJobsLeased  = "bpbench_lease_jobs_leased"
-	// MetricSweepSubmissions counts /v1/sweep submissions accepted by a
-	// `bpbench serve` coordinator.
-	MetricSweepSubmissions = "bpbench_sweep_submissions_total"
 )
 
 // runMetrics resolves the harness's metric handles once per run, so the
@@ -86,23 +59,20 @@ const (
 // nil *runMetrics (telemetry off) is checked once per job, keeping the
 // uninstrumented path identical to the pre-telemetry harness.
 type runMetrics struct {
-	reg           *metrics.Registry
-	started       *metrics.Counter
-	jobs          *metrics.CounterVec
-	inFlight      *metrics.GaugeVec
-	queueWait     *metrics.Histogram
-	jobTime       *metrics.Histogram
-	cacheHits     *metrics.Counter
-	cacheMisses   *metrics.Counter
-	poolHits      *metrics.Counter
-	poolMisses    *metrics.Counter
-	warmHits      *metrics.Counter
-	warmMisses    *metrics.Counter
-	warmWriteErrs *metrics.Counter
-	cellsTotal    *metrics.Gauge
-	cellsDone     *metrics.Gauge
-	records       *metrics.CounterVec
-	poolStart     time.Time
+	reg         *metrics.Registry
+	started     *metrics.Counter
+	jobs        *metrics.CounterVec
+	inFlight    *metrics.GaugeVec
+	queueWait   *metrics.Histogram
+	jobTime     *metrics.Histogram
+	cacheHits   *metrics.Counter
+	cacheMisses *metrics.Counter
+	poolHits    *metrics.Counter
+	poolMisses  *metrics.Counter
+	cellsTotal  *metrics.Gauge
+	cellsDone   *metrics.Gauge
+	records     *metrics.CounterVec
+	poolStart   time.Time
 }
 
 func newRunMetrics(reg *metrics.Registry) *runMetrics {
@@ -110,22 +80,19 @@ func newRunMetrics(reg *metrics.Registry) *runMetrics {
 		return nil
 	}
 	return &runMetrics{
-		reg:           reg,
-		started:       reg.Counter(MetricJobsStarted, "Jobs handed to a worker."),
-		jobs:          reg.CounterVec(MetricJobs, "Jobs finished, by result (succeeded, failed, skipped).", "result"),
-		inFlight:      reg.GaugeVec(MetricJobsInFlight, "Jobs currently executing, per worker.", "worker"),
-		queueWait:     reg.Histogram(MetricQueueWaitSeconds, "Seconds a job waited between pool start and worker pick-up.", metrics.ExpBuckets(0.0005, 4, 10)),
-		jobTime:       reg.Histogram(MetricJobSeconds, "Per-job execution latency in seconds.", metrics.ExpBuckets(0.001, 4, 10)),
-		cacheHits:     reg.Counter(MetricTraceCacheHits, "Trace-cache lookups served by an existing entry."),
-		cacheMisses:   reg.Counter(MetricTraceCacheMisses, "Trace-cache lookups that generated the trace."),
-		poolHits:      reg.Counter(MetricPredictorPoolHits, "Predictor-pool lookups served by a warmed instance (Reset reuse)."),
-		poolMisses:    reg.Counter(MetricPredictorPoolMisses, "Predictor-pool lookups that constructed a predictor."),
-		warmHits:      reg.Counter(MetricWarmCacheHits, "Cells warm-started from a cached checkpoint blob."),
-		warmMisses:    reg.Counter(MetricWarmCacheMisses, "Cells cold-started: no cached blob, or an unusable one."),
-		warmWriteErrs: reg.Counter(MetricWarmCacheWriteErrors, "Checkpoint blobs that failed to persist (create/write/rename error)."),
-		cellsTotal:    reg.Gauge(MetricCellsTotal, "Cells in the expanded sweep grid."),
-		cellsDone:     reg.Gauge(MetricCellsDone, "Cells completed (reused cells count immediately)."),
-		records:       reg.CounterVec(MetricRecordsEmitted, "Records streamed to sinks, by kind.", "kind"),
+		reg:         reg,
+		started:     reg.Counter(MetricJobsStarted, "Jobs handed to a worker."),
+		jobs:        reg.CounterVec(MetricJobs, "Jobs finished, by result (succeeded, failed, skipped).", "result"),
+		inFlight:    reg.GaugeVec(MetricJobsInFlight, "Jobs currently executing, per worker.", "worker"),
+		queueWait:   reg.Histogram(MetricQueueWaitSeconds, "Seconds a job waited between pool start and worker pick-up.", metrics.ExpBuckets(0.0005, 4, 10)),
+		jobTime:     reg.Histogram(MetricJobSeconds, "Per-job execution latency in seconds.", metrics.ExpBuckets(0.001, 4, 10)),
+		cacheHits:   reg.Counter(MetricTraceCacheHits, "Trace-cache lookups served by an existing entry."),
+		cacheMisses: reg.Counter(MetricTraceCacheMisses, "Trace-cache lookups that generated the trace."),
+		poolHits:    reg.Counter(MetricPredictorPoolHits, "Predictor-pool lookups served by a warmed instance (Reset reuse)."),
+		poolMisses:  reg.Counter(MetricPredictorPoolMisses, "Predictor-pool lookups that constructed a predictor."),
+		cellsTotal:  reg.Gauge(MetricCellsTotal, "Cells in the expanded sweep grid."),
+		cellsDone:   reg.Gauge(MetricCellsDone, "Cells completed (reused cells count immediately)."),
+		records:     reg.CounterVec(MetricRecordsEmitted, "Records streamed to sinks, by kind.", "kind"),
 	}
 }
 

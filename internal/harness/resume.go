@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -261,11 +262,14 @@ func driftWarning(key string, p *Provenance, head Provenance) string {
 }
 
 // effectivePipeline resolves the job's pipeline options the way the
-// simulator will (non-positive selects the default), matching the
-// values RunTrace records.
+// simulator will (non-positive selects the default; the ideal scenario
+// [I] has no in-flight window), matching the values RunTrace records.
 func effectivePipeline(j Job) (window, execDelay int) {
 	window, execDelay = j.Opts.Window, j.Opts.ExecDelay
-	if window <= 0 {
+	switch {
+	case j.Scenario == predictor.ScenarioI:
+		window = 0
+	case window <= 0:
 		window = sim.DefaultWindow
 	}
 	if execDelay <= 0 {
@@ -292,15 +296,6 @@ func effectivePipeline(j Job) (window, execDelay int) {
 // interleave appends into one store: the second opener fails fast with a
 // clear error instead of corrupting the stream.
 func ResumeStoreFile(path string, jobs []Job, cfg Config, onPlan func(*ResumePlan) error) (*Summary, error) {
-	return ResumeStoreFileTee(path, jobs, cfg, onPlan, nil)
-}
-
-// ResumeStoreFileTee is ResumeStoreFile with every appended record
-// additionally streamed to tee (nil means none): how `bpbench serve`
-// both persists a submission into its store and streams the records
-// back over the HTTP response without double-running anything. The tee
-// sees exactly the records the store append sees, in the same order.
-func ResumeStoreFileTee(path string, jobs []Job, cfg Config, onPlan func(*ResumePlan) error, tee Sink) (*Summary, error) {
 	var head Provenance
 	if cfg.Provenance != nil {
 		head = *cfg.Provenance
@@ -343,11 +338,7 @@ func ResumeStoreFileTee(path string, jobs []Job, cfg Config, onPlan func(*Resume
 	if err := f.Truncate(validLen); err != nil {
 		return nil, err
 	}
-	sink := NewJSONLSink(sm.meter(f))
-	if tee != nil {
-		sink = MultiSink(sink, tee)
-	}
-	return RunResume(plan, cfg, sink)
+	return RunResume(plan, cfg, NewJSONLSink(sm.meter(f)))
 }
 
 // RunResume executes only the plan's Todo jobs, streaming the new cell
@@ -363,7 +354,7 @@ func RunResume(plan *ResumePlan, cfg Config, sink Sink) (*Summary, error) {
 	rm := newRunMetrics(cfg.Metrics)
 	rm.beginRun(len(plan.Jobs), sum.Skipped)
 	emit, emitErr := emitter(sum, sink, rm)
-	fresh := cfg.scheduler().Schedule(plan.Todo, cfg, func(r Record) {
+	fresh := executeJobs(plan.Todo, cfg, rm, func(r Record) {
 		if r.Failed() {
 			sum.Failed++
 		}

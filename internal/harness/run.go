@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -42,55 +40,6 @@ type Config struct {
 	// and result stream are bit-identical with telemetry off, which is
 	// why the registry is injected here rather than being a global.
 	Metrics *metrics.Registry
-	// NoPredictorPool disables per-worker predictor reuse: every cell
-	// constructs a fresh predictor through Model.Run even when the model
-	// offers a NewRunner hook. By default repeated cells of the same
-	// model Reset a pooled instance instead of reallocating its tables,
-	// which is byte-identical and skips construction entirely.
-	NoPredictorPool bool
-	// IntraCellWorkers shards each cell group's traces (jobs sharing
-	// model, scenario, branches and deltaLog) across this many goroutines
-	// with per-shard pooled runners and deterministic trace assignment.
-	// Results and emission order are byte-identical to a serial run.
-	// Zero or one disables intra-cell parallelism. Run seeds it from
-	// Matrix.IntraCellWorkers when unset here.
-	IntraCellWorkers int
-	// WarmCache, when non-empty, names a checkpoint blob directory
-	// (conventionally WarmCacheDir(storePath), i.e. "store.jsonl.ckpt/").
-	// Each cell then warm-starts from its cached predictor+pipeline
-	// snapshot when one matches — skipping the already-simulated prefix —
-	// and saves checkpoints (periodic plus end-of-trace) as it runs, so a
-	// repeated sweep skips warm-up entirely and an interrupted long cell
-	// resumes mid-trace on the next run. Results are byte-identical to a
-	// cold run modulo wall-clock telemetry; any unusable blob silently
-	// falls back to a cold start (the cache is never a correctness
-	// dependency). Empty disables checkpointing.
-	WarmCache string
-	// CheckpointEvery is the periodic checkpoint interval in branches
-	// when WarmCache is set (zero selects DefaultCheckpointEvery).
-	CheckpointEvery uint64
-	// Scheduler, when non-nil, executes the expanded jobs in place of
-	// the in-process worker pool — the seam the distributed sweep
-	// service plugs into (see LeaseScheduler). Nil selects the local
-	// pool; every current caller is unchanged.
-	Scheduler Scheduler
-	// Log, when non-nil, receives operational diagnostics the harness
-	// would otherwise swallow (warm-cache write failures, lease-protocol
-	// chatter) at slog levels: Debug for -v detail, Warn for conditions
-	// worth surfacing. Nil keeps the harness silent, as before.
-	Log *slog.Logger
-}
-
-// DefaultCheckpointEvery is the periodic checkpoint interval (in
-// branches) used when Config.WarmCache is set without an explicit
-// Config.CheckpointEvery.
-const DefaultCheckpointEvery = 1_000_000
-
-func (c Config) checkpointEvery() uint64 {
-	if c.CheckpointEvery > 0 {
-		return c.CheckpointEvery
-	}
-	return DefaultCheckpointEvery
 }
 
 func (c Config) workers() int {
@@ -165,9 +114,6 @@ func Run(m *Matrix, cfg Config, sink Sink) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.IntraCellWorkers == 0 {
-		cfg.IntraCellWorkers = m.IntraCellWorkers
-	}
 	return RunJobs(jobs, cfg, sink)
 }
 
@@ -177,7 +123,7 @@ func RunJobs(jobs []Job, cfg Config, sink Sink) (*Summary, error) {
 	rm := newRunMetrics(cfg.Metrics)
 	rm.beginRun(len(jobs), 0)
 	emit, emitErr := emitter(sum, sink, rm)
-	results := cfg.scheduler().Schedule(jobs, cfg, func(r Record) {
+	results := executeJobs(jobs, cfg, rm, func(r Record) {
 		if r.Failed() {
 			sum.Failed++
 		}
@@ -195,11 +141,10 @@ func RunJobs(jobs []Job, cfg Config, sink Sink) (*Summary, error) {
 	return sum, closeSink(sink, *emitErr)
 }
 
-// runnerArena holds one worker's (or one intra-cell shard's) pooled run
-// functions, keyed by the model's canonical spec (name when the model was
-// built without one). It is only ever touched from the goroutine that
-// owns it, so lookups are lock-free; the hit/miss counters feed the
-// pool's telemetry.
+// runnerArena holds one worker's pooled run functions, keyed by the
+// model's canonical spec (name when the model was built without one). It
+// is only ever touched from the goroutine that owns it, so lookups are
+// lock-free; the hit/miss counters feed the pool's telemetry.
 type runnerArena struct {
 	m            map[string]func(tr *trace.Trace, opt sim.Options) sim.Result
 	hits, misses *metrics.Counter
@@ -209,7 +154,7 @@ type runnerArena struct {
 // when the model offers one (created on first use, Reset-reused after),
 // the plain cold-construction Run otherwise.
 func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) sim.Result {
-	if a == nil || mdl.NewRunner == nil {
+	if mdl.NewRunner == nil {
 		return mdl.Run
 	}
 	key := mdl.Spec
@@ -232,41 +177,33 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 // executeJobs runs the job list on the worker pool, invoking visit for
 // every record in job order as results complete (a reorder buffer
 // decouples worker completion order from visit order, so streaming
-// starts with the first finished cell), and returns all records.
-//
-// With cfg.IntraCellWorkers > 1 the scheduling is two-level: the outer
-// pool hands out cell groups (jobs sharing model, scenario, branches and
-// deltaLog), and each group's traces are sharded across up to
-// IntraCellWorkers goroutines with a deterministic stride. Every trace
-// starts from a cold (Reset or fresh) predictor either way, so the
-// records — and their emission order — are byte-identical to the serial
-// schedule.
+// starts with the first finished cell), and returns all records. Each
+// worker keeps its own runner arena, and every cell simulates the whole
+// trace from a cold (Reset or freshly built) predictor, so the records
+// do not depend on the schedule.
 func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []Record {
 	cache := &traceCache{m: make(map[string]*traceEntry)}
 	if rm != nil {
 		cache.hits, cache.misses = rm.cacheHits, rm.cacheMisses
 		rm.poolStart = time.Now()
 	}
-	wc := newWarmCache(cfg.WarmCache, rm, cfg.Log)
 	results := make([]Record, len(jobs))
 	done := make([]chan struct{}, len(jobs))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
 
-	newArena := func() *runnerArena {
-		if cfg.NoPredictorPool {
-			return nil
-		}
-		a := &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)}
-		if rm != nil {
-			a.hits, a.misses = rm.poolHits, rm.poolMisses
-		}
-		return a
-	}
-
-	runOne := func(i, w int, arena *runnerArena, shardCtr *metrics.Counter) {
+	arenas := make([]*runnerArena, cfg.workers())
+	go forEachWorker(len(jobs), cfg.workers(), func(w, i int) {
 		defer close(done[i])
+		arena := arenas[w]
+		if arena == nil {
+			arena = &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)}
+			if rm != nil {
+				arena.hits, arena.misses = rm.poolHits, rm.poolMisses
+			}
+			arenas[w] = arena
+		}
 		j := jobs[i]
 		j.Opts.Metrics = cfg.Metrics
 		run := arena.runner(j.Model)
@@ -279,24 +216,7 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 			} else {
 				tr = cache.get(j.Spec, j.Branches)
 			}
-			if wc != nil {
-				key := wc.key(j, tr)
-				j.Opts.Resume = wc.load(key)
-				j.Opts.CheckpointEvery = cfg.checkpointEvery()
-				j.Opts.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at) }
-			}
-			r := run(tr, j.Opts)
-			if wc != nil {
-				// A hit is a warm start that actually took: a blob the sim
-				// refused (stale geometry, mismatched pipeline) cold-starts
-				// and counts as a miss, so the hit metric certifies reuse.
-				if j.Opts.Resume != nil && r.ResumeErr == nil {
-					wc.hits.Inc()
-				} else {
-					wc.misses.Inc()
-				}
-			}
-			res = cellRecord(j, r)
+			res = cellRecord(j, run(tr, j.Opts))
 		})
 		if err != nil {
 			res = failedRecord(j, err)
@@ -306,82 +226,13 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 			res.Provenance = cfg.Provenance
 		}
 		results[i] = res
-		shardCtr.Add(res.SimBranches)
-	}
-
-	if cfg.IntraCellWorkers > 1 {
-		groups := groupJobs(jobs)
-		var shardVec *metrics.CounterVec
-		if cfg.Metrics != nil {
-			shardVec = cfg.Metrics.CounterVec(sim.MetricShardBranches, sim.HelpShardBranches, "shard")
-		}
-		go forEachWorker(len(groups), cfg.workers(), func(w, gi int) {
-			g := groups[gi]
-			shards := cfg.IntraCellWorkers
-			if shards > len(g) {
-				shards = len(g)
-			}
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					arena := newArena()
-					var ctr *metrics.Counter
-					if shardVec != nil {
-						ctr = shardVec.With(strconv.Itoa(s))
-					}
-					// Stride assignment: shard s owns the group's s-th,
-					// (s+shards)-th, ... traces, independent of timing.
-					for k := s; k < len(g); k += shards {
-						runOne(g[k], w, arena, ctr)
-					}
-				}(s)
-			}
-			wg.Wait()
-		})
-	} else {
-		arenas := make([]*runnerArena, cfg.workers())
-		go forEachWorker(len(jobs), cfg.workers(), func(w, i int) {
-			if w < len(arenas) && arenas[w] == nil {
-				arenas[w] = newArena()
-			}
-			var arena *runnerArena
-			if w < len(arenas) {
-				arena = arenas[w]
-			}
-			runOne(i, w, arena, nil)
-		})
-	}
+	})
 
 	for i := range jobs {
 		<-done[i]
 		visit(results[i])
 	}
 	return results
-}
-
-// groupJobs partitions job indices into cell groups — jobs sharing
-// (model, scenario, branches, deltaLog), i.e. differing only by trace —
-// in first-appearance (expansion) order, members in expansion order.
-func groupJobs(jobs []Job) [][]int {
-	type gkey struct {
-		model, scenario    string
-		branches, deltaLog int
-	}
-	idx := make(map[gkey]int)
-	var groups [][]int
-	for i, j := range jobs {
-		k := gkey{model: j.Model.Name, scenario: j.Scenario.Letter(), branches: j.Branches, deltaLog: j.DeltaLog}
-		gi, ok := idx[k]
-		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return groups
 }
 
 // emitter wraps a sink for the run loops: a sink failure mid-stream must

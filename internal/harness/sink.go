@@ -157,30 +157,3 @@ var Discard Sink = discardSink{}
 
 func (discardSink) Emit(Record) error { return nil }
 func (discardSink) Close() error      { return nil }
-
-// --- multi ---
-
-type multiSink []Sink
-
-// MultiSink fans every record out to all sinks (e.g. a table on stdout
-// plus a JSONL baseline file).
-func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
-
-func (m multiSink) Emit(r Record) error {
-	for _, s := range m {
-		if err := s.Emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m multiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -40,71 +40,6 @@ func writeBPT(t *testing.T, path string, tr *trace.Trace) {
 	}
 }
 
-// TestWireJobGeneratorSpecRoundTrip: a generator-spec cell survives the
-// wire — the worker regenerates the trace from the spec string and the
-// rebuilt job produces the identical record, including the key.
-func TestWireJobGeneratorSpecRoundTrip(t *testing.T) {
-	j := specJob(t, "phased:period=1024#7")
-	w := wireJob(j)
-	if w.Trace != "phased:period=1024#7" || w.TraceSpec != "" {
-		t.Fatalf("generator specs are their own identity: wire %+v", w)
-	}
-	resolver := func(spec string) (Model, error) { return fakeModel(spec, flat(3)), nil }
-	j2, err := w.Job(resolver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Key() != j.Key() {
-		t.Fatalf("keys differ: %q vs %q", j2.Key(), j.Key())
-	}
-	if j2.Seed != j.Seed {
-		t.Fatalf("seeds differ: %d vs %d", j2.Seed, j.Seed)
-	}
-	a := workload.Generate(j.Spec, 500)
-	b := workload.Generate(j2.Spec, 500)
-	if a.Hash() != b.Hash() {
-		t.Fatal("worker regenerated a different trace from the spec")
-	}
-}
-
-// TestWireJobFileSpecRoundTrip: file-backed cells ship the path in
-// TraceSpec, keep the content hash as the identity, and fail loudly if
-// the file's contents no longer match the lease.
-func TestWireJobFileSpecRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	src, err := workload.ResolveSpec("INT01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "ext.bpt")
-	writeBPT(t, path, workload.Generate(src, 500))
-
-	j := specJob(t, "file:"+path)
-	w := wireJob(j)
-	if !strings.HasPrefix(w.Trace, "file:") || strings.Contains(w.Trace, dir) {
-		t.Fatalf("identity should be the content hash, got %q", w.Trace)
-	}
-	if w.TraceSpec != "file:"+path {
-		t.Fatalf("TraceSpec %q, want the path form", w.TraceSpec)
-	}
-	resolver := func(spec string) (Model, error) { return fakeModel(spec, flat(3)), nil }
-	j2, err := w.Job(resolver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Key() != j.Key() {
-		t.Fatalf("keys differ: %q vs %q", j2.Key(), j.Key())
-	}
-
-	// Swap the file's contents: the hash no longer matches the lease's
-	// cell identity, and reconstruction must refuse rather than deliver
-	// a record under the wrong key.
-	writeBPT(t, path, workload.Generate(src, 200))
-	if _, err := w.Job(resolver); err == nil || !strings.Contains(err.Error(), "contents change") {
-		t.Fatalf("tampered file accepted: %v", err)
-	}
-}
-
 // TestRecordTraceSpec: named and generator records leave TraceSpec
 // empty (Trace is its own spec — the byte-identity guarantee for
 // pre-spec stores); file records carry the path.

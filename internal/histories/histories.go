@@ -15,8 +15,7 @@ import (
 
 // Global is a global branch direction history of unbounded logical length,
 // stored in a power-of-two circular buffer. Index 0 is the most recent
-// outcome. It supports checkpoint/restore, which is how a hardware
-// implementation repairs history on a misprediction.
+// outcome.
 type Global struct {
 	buf  []uint8
 	head int // position of the most recent outcome
@@ -62,23 +61,6 @@ func (g *Global) Reset() {
 		g.buf[i] = 0
 	}
 	g.head, g.n = 0, 0
-}
-
-// Checkpoint captures the current history position for later restore.
-type Checkpoint struct {
-	head int
-	n    uint64
-}
-
-// Save captures the current position.
-func (g *Global) Save() Checkpoint { return Checkpoint{head: g.head, n: g.n} }
-
-// Restore rewinds the history to a previous checkpoint. Entries pushed
-// after the checkpoint become invisible (they may be overwritten by
-// subsequent pushes). Restoring forward is not supported.
-func (g *Global) Restore(c Checkpoint) {
-	g.head = c.head
-	g.n = c.n
 }
 
 // Folded is the incrementally maintained fold (XOR-compression) of the most
@@ -144,12 +126,11 @@ func (f *Folded) UpdateBits(newest, oldest uint32) {
 // Value returns the current folded value.
 func (f *Folded) Value() uint32 { return f.comp }
 
-// Reset clears the fold (e.g. after a history restore) so it can be
-// recomputed with Recompute.
+// Reset clears the fold back to its empty-history value.
 func (f *Folded) Reset() { f.comp = 0 }
 
-// Recompute recalculates the fold from the underlying history from scratch.
-// Used after history repair and by tests as the ground truth.
+// Recompute recalculates the fold from the underlying history from scratch:
+// the ground truth for tests.
 func (f *Folded) Recompute(g *Global) {
 	var v uint32
 	for i := 0; i < int(f.Length); i++ {

@@ -48,29 +48,6 @@ func TestGlobalWrapAround(t *testing.T) {
 	}
 }
 
-func TestGlobalSaveRestore(t *testing.T) {
-	g := NewGlobal(64)
-	for i := 0; i < 10; i++ {
-		g.Push(i%2 == 0)
-	}
-	cp := g.Save()
-	bitsBefore := make([]uint32, 10)
-	for i := range bitsBefore {
-		bitsBefore[i] = g.Bit(i)
-	}
-	g.Push(true)
-	g.Push(true)
-	g.Restore(cp)
-	for i := range bitsBefore {
-		if g.Bit(i) != bitsBefore[i] {
-			t.Fatalf("Bit(%d) changed after restore", i)
-		}
-	}
-	if g.Len() != 10 {
-		t.Fatalf("Len after restore = %d, want 10", g.Len())
-	}
-}
-
 // TestFoldedMatchesBruteForce is the core invariant: the incremental CSR
 // update must always equal the from-scratch XOR fold.
 func TestFoldedMatchesBruteForce(t *testing.T) {

@@ -297,8 +297,7 @@ func (p *PackedFolds) Reset() {
 }
 
 // Recompute recalculates every fold from the underlying history from
-// scratch — the ground truth for tests and the repair path after a
-// history restore.
+// scratch — the ground truth for tests.
 func (p *PackedFolds) Recompute(g *Global) {
 	p.Reset()
 	for id := range p.refs {

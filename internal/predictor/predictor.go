@@ -7,10 +7,7 @@
 // exclusively from the values captured at fetch (scenario [B]).
 package predictor
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/memarray"
-)
+import "repro/internal/memarray"
 
 // Scenario enumerates the update-timing policies of Section 4.1.2.
 type Scenario int
@@ -93,15 +90,4 @@ type Predictor[C any] interface {
 	// Reset the predictor must behave byte-identically to a new instance
 	// built from the same configuration.
 	Reset()
-	// Snapshot serializes the predictor's full dynamic state (tables,
-	// histories, counters, RNG, accounting) into the encoder as a named,
-	// versioned section, so a warm instance can be reconstructed later.
-	// Composed predictors delegate a section to each component.
-	Snapshot(enc *checkpoint.Encoder)
-	// Restore rebuilds the dynamic state from a Snapshot taken by a
-	// predictor of the identical configuration. Failures (wrong section,
-	// newer version, size mismatch, truncation) stick to the decoder;
-	// callers check dec.Err() and fall back to Reset on error — after a
-	// failed Restore the predictor state is unspecified until Reset.
-	Restore(dec *checkpoint.Decoder)
 }

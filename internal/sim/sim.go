@@ -14,8 +14,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/bitutil"
@@ -41,13 +39,6 @@ const (
 	// MetricPipelineFlushes counts misprediction-triggered pipeline
 	// drains, by update scenario (flushed once per run).
 	MetricPipelineFlushes = "bpbench_pipeline_flushes_total"
-	// MetricShardBranches counts branches retired by intra-cell shard
-	// workers, labelled by shard index: the observability handle for
-	// deterministic intra-cell parallelism (RunShards and the harness
-	// IntraCellWorkers setting). Advanced once per trace per shard.
-	MetricShardBranches = "bpbench_intracell_shard_branches_total"
-	// HelpShardBranches is the family's help text.
-	HelpShardBranches = "Branches retired by intra-cell shard workers, by shard."
 )
 
 // Options configures one simulation run.
@@ -70,24 +61,6 @@ type Options struct {
 	// inside a long trace) and per-scenario pipeline flush counts. Nil
 	// keeps the run telemetry-free with zero hot-path overhead.
 	Metrics *metrics.Registry
-
-	// Resume, when non-nil, warm-starts the run from a Checkpoint taken
-	// by an earlier run of the identical (predictor configuration,
-	// trace, pipeline options) cell: the predictor state and in-flight
-	// window are restored and the first Resume.At branches of the
-	// source are skipped. A blob that fails to decode or describes a
-	// different configuration falls back to a cold start (the predictor
-	// is Reset); Result.ResumeErr reports why.
-	Resume *Checkpoint
-	// OnCheckpoint, when non-nil, receives a checkpoint blob at the end
-	// of the trace (always) and, when CheckpointEvery > 0, every
-	// CheckpointEvery branches along the way (taken between decode
-	// batches, so the granularity is the batch size). The callback must
-	// not retain the predictor; the blob is self-contained.
-	OnCheckpoint func(blob []byte, at uint64)
-	// CheckpointEvery is the approximate branch interval between
-	// periodic OnCheckpoint emissions (0 = only the end-of-trace blob).
-	CheckpointEvery uint64
 }
 
 // Default pipeline parameters, applied when Options leaves the fields
@@ -143,12 +116,6 @@ type Result struct {
 	// accuracy metrics, and ignored by baseline diffing).
 	Elapsed        time.Duration
 	BranchesPerSec float64
-	// ResumedAt is the branch index a warm start resumed from (0 for a
-	// cold run); ResumeErr is the reason a requested warm start fell
-	// back to a cold run, if it did. Both are telemetry: accuracy
-	// results of a resumed run are byte-identical to a cold run.
-	ResumedAt uint64
-	ResumeErr error
 }
 
 func (r Result) String() string {
@@ -249,39 +216,6 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		retiredCount uint64
 	)
 
-	// Warm start: restore predictor state and the in-flight window from
-	// a checkpoint, then skip the already-simulated trace prefix. A bad
-	// blob degrades to a cold start — the warm cache is an optimization,
-	// never a correctness dependency.
-	var resumedAt uint64
-	var resumeErr error
-	var restoredMispreds uint64
-	if opt.Resume != nil && len(opt.Resume.Blob) > 0 {
-		st, err := rn.decodeCheckpoint(p, opt, window, ring, retireAt, opt.Resume.Blob)
-		if err == nil {
-			// A blob claiming a longer already-simulated prefix than the
-			// source holds cannot be a checkpoint of this cell; refuse it
-			// before consuming the source so the cold fallback sees the
-			// whole trace. Sources without a known length skip the check.
-			if lener, ok := src.(interface{ Len() int }); ok && st.branches > uint64(lener.Len()) {
-				err = fmt.Errorf("sim: checkpoint taken after %d branches, but this source holds only %d", st.branches, lener.Len())
-			}
-		}
-		if err == nil {
-			seq, branches, microOps, mispreds = st.seq, st.branches, st.microOps, st.mispreds
-			penaltySum = st.penaltySum
-			retireReads, writeEvents, retiredCount = st.retireReads, st.writeEvents, st.retiredCount
-			head, tail, count = 0, st.count&ringMask, st.count
-			restoredMispreds = mispreds
-			resumedAt = skipPrefix(src, branches, rn.batch[:])
-		} else {
-			resumeErr = err
-			p.Reset()
-			clear(ring)
-			clear(retireAt)
-		}
-	}
-
 	retireOne := func() {
 		e := &ring[head]
 		reread := rereadAlways || (rereadOnMiss && e.mispred)
@@ -314,23 +248,6 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		}
 	}
 	retiredCtr := rn.retiredCtr
-
-	// Periodic checkpoints fire between decode batches once branches
-	// crosses nextCk (anchored past any restored prefix).
-	var nextCk uint64
-	if opt.OnCheckpoint != nil && opt.CheckpointEvery > 0 {
-		nextCk = branches + opt.CheckpointEvery
-	}
-	emitCheckpoint := func() {
-		st := simState{
-			seq: seq, branches: branches, microOps: microOps, mispreds: mispreds,
-			penaltySum: penaltySum, retireReads: retireReads,
-			writeEvents: writeEvents, retiredCount: retiredCount, count: count,
-		}
-		if blob, err := rn.encodeCheckpoint(p, opt, window, ring, retireAt, head, ringMask, st); err == nil {
-			opt.OnCheckpoint(blob, branches)
-		}
-	}
 
 	start := time.Now()
 	batcher, _ := src.(trace.Batcher)
@@ -388,22 +305,10 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 			}
 			seq++
 		}
-		if nextCk > 0 && branches >= nextCk {
-			emitCheckpoint()
-			for nextCk <= branches {
-				nextCk += opt.CheckpointEvery
-			}
-		}
 	}
 	// Drain the pipeline at trace end.
 	for count > 0 {
 		retireOne()
-	}
-	// The end-of-trace checkpoint is taken after the drain and before
-	// the stats flush: restoring it and "continuing" over zero branches
-	// reproduces the final counters exactly.
-	if opt.OnCheckpoint != nil {
-		emitCheckpoint()
 	}
 	elapsed := time.Since(start)
 
@@ -415,10 +320,8 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 
 	if rn.flushVec != nil {
 		// Each misprediction drains the in-flight window — a pipeline
-		// flush. Accumulated locally, flushed once per run; a warm start
-		// adds only what this run simulated (the restored prefix was
-		// accounted by the run that took the checkpoint).
-		rn.flushVec.With(opt.Scenario.Letter()).Add(mispreds - restoredMispreds)
+		// flush. Accumulated locally, flushed once per run.
+		rn.flushVec.With(opt.Scenario.Letter()).Add(mispreds)
 	}
 
 	res := Result{
@@ -433,8 +336,6 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		Window:      window,
 		ExecDelay:   opt.ExecDelay,
 		Elapsed:     elapsed,
-		ResumedAt:   resumedAt,
-		ResumeErr:   resumeErr,
 	}
 	if secs := elapsed.Seconds(); secs > 0 && branches > 0 {
 		res.BranchesPerSec = float64(branches) / secs
@@ -470,62 +371,6 @@ func Run[C any](p predictor.Predictor[C], name, category string, src trace.Sourc
 // RunTrace is a convenience wrapper over Run for materialised traces.
 func RunTrace[C any](p predictor.Predictor[C], tr *trace.Trace, opt Options) Result {
 	return Run(p, tr.Name, tr.Category, tr.Reader(), opt)
-}
-
-// RunShards simulates one predictor configuration over many independent
-// traces, sharding the traces across worker goroutines. Shard s owns a
-// predictor built by mk(s) and a reusable Runner, runs the traces at
-// indices s, s+workers, s+2*workers, ... (a deterministic stride, so the
-// trace-to-shard assignment never depends on scheduling), and Resets the
-// predictor between traces. Every trace therefore starts cold, and the
-// returned slice — results[i] belongs to traces[i] — is byte-identical to
-// running each trace serially on a fresh predictor, except for the
-// wall-clock telemetry fields (Elapsed, BranchesPerSec).
-//
-// When opt.Metrics is set, each shard additionally advances the
-// MetricShardBranches family labelled with its shard index, once per
-// trace, so a live scrape shows how the cell's work spreads over shards.
-func RunShards[C any](mk func(shard int) predictor.Predictor[C], traces []*trace.Trace, workers int, opt Options) []Result {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(traces) {
-		workers = len(traces)
-	}
-	results := make([]Result, len(traces))
-	var shardVec *metrics.CounterVec
-	if opt.Metrics != nil {
-		shardVec = opt.Metrics.CounterVec(MetricShardBranches, HelpShardBranches, "shard")
-	}
-	runShard := func(shard int) {
-		p := mk(shard)
-		var rn Runner[C]
-		var ctr *metrics.Counter
-		if shardVec != nil {
-			ctr = shardVec.With(strconv.Itoa(shard))
-		}
-		for i := shard; i < len(traces); i += workers {
-			if i != shard {
-				p.Reset()
-			}
-			results[i] = rn.RunTrace(p, traces[i], opt)
-			ctr.Add(results[i].Branches)
-		}
-	}
-	if workers == 1 {
-		runShard(0)
-		return results
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			runShard(shard)
-		}(s)
-	}
-	wg.Wait()
-	return results
 }
 
 // Suite aggregates per-trace results the way the paper reports them: the

@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bimodal"
 	"repro/internal/gshare"
-	"repro/internal/metrics"
 	"repro/internal/predictor"
-	"repro/internal/tage"
 	"repro/internal/trace"
 )
 
@@ -182,81 +179,5 @@ func TestEmptyTrace(t *testing.T) {
 	res := RunTrace(p, &trace.Trace{Name: "empty"}, Options{})
 	if res.Branches != 0 || res.MPKI != 0 {
 		t.Fatalf("empty trace result: %+v", res)
-	}
-}
-
-// shardTraces builds a few deterministic traces of different lengths for
-// the RunShards tests.
-func shardTraces() []*trace.Trace {
-	base := benchTrace(9000)
-	sizes := []int{2000, 3000, 1500, 2500, 1000, 4000, 3500}
-	out := make([]*trace.Trace, len(sizes))
-	for i, n := range sizes {
-		out[i] = &trace.Trace{
-			Name:     fmt.Sprintf("shard-%d", i),
-			Category: "BENCH",
-			Branches: base.Branches[:n],
-		}
-	}
-	return out
-}
-
-// TestRunShardsMatchesSerial asserts the determinism contract of intra-cell
-// parallelism: sharding a cell's traces across goroutines produces results
-// byte-identical to running each trace serially on a fresh predictor, in
-// input order, for any worker count.
-func TestRunShardsMatchesSerial(t *testing.T) {
-	traces := shardTraces()
-	opt := Options{Scenario: predictor.ScenarioA}
-	want := make([]Result, len(traces))
-	for i, tr := range traces {
-		want[i] = RunTrace(tage.New(tage.Reference()), tr, opt)
-		want[i].Elapsed, want[i].BranchesPerSec = 0, 0
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got := RunShards(func(int) predictor.Predictor[tage.Ctx] {
-			return tage.New(tage.Reference())
-		}, traces, workers, opt)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			got[i].Elapsed, got[i].BranchesPerSec = 0, 0
-			if got[i] != want[i] {
-				t.Errorf("workers=%d trace %d: sharded result diverges from serial:\n  sharded: %+v\n  serial:  %+v",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunShardsMetrics asserts that a sharded run advances the per-shard
-// branch counter family and that the shards together cover every branch.
-func TestRunShardsMetrics(t *testing.T) {
-	traces := shardTraces()
-	reg := metrics.NewRegistry()
-	opt := Options{Scenario: predictor.ScenarioA, Metrics: reg}
-	results := RunShards(func(int) predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Reference())
-	}, traces, 3, opt)
-	var total uint64
-	for _, r := range results {
-		total += r.Branches
-	}
-	snap := reg.Snapshot()
-	var shardSum float64
-	seen := 0
-	for shard := 0; shard < 3; shard++ {
-		smp, ok := snap.Sample(MetricShardBranches, fmt.Sprint(shard))
-		if ok && smp.Value > 0 {
-			seen++
-		}
-		shardSum += smp.Value
-	}
-	if seen < 2 {
-		t.Errorf("only %d shards advanced %s; want work on >= 2 of 3 shards", seen, MetricShardBranches)
-	}
-	if shardSum != float64(total) {
-		t.Errorf("%s sums to %v across shards, want %d (total branches)", MetricShardBranches, shardSum, total)
 	}
 }

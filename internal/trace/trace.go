@@ -119,30 +119,6 @@ func (c *Cursor) NextBatch(dst []Branch) int {
 	return n
 }
 
-// Len returns the number of branches remaining before the cursor, so a
-// resume can reject a checkpoint claiming a longer already-simulated
-// prefix than the trace holds before consuming anything.
-func (c *Cursor) Len() int {
-	if c.t == nil {
-		return 0
-	}
-	return len(c.t.Branches) - c.i
-}
-
-// Skip advances the cursor by up to n branches without yielding them
-// (O(1) — the resume path of a checkpointed simulation) and returns
-// how many were skipped.
-func (c *Cursor) Skip(n int) int {
-	if c.t == nil || n <= 0 {
-		return 0
-	}
-	if rem := len(c.t.Branches) - c.i; n > rem {
-		n = rem
-	}
-	c.i += n
-	return n
-}
-
 // Collect materialises up to limit branches from a source (limit <= 0 means
 // no limit).
 func Collect(name, category string, src Source, limit int) *Trace {
@@ -222,6 +198,10 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
+// maxPrealloc bounds the branch slice Read allocates up front from a
+// file's header count (1 MiB of Branch values).
+const maxPrealloc = 1 << 16
+
 // Read decodes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
@@ -261,7 +241,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("trace: unreasonable branch count %d", count)
 	}
-	t.Branches = make([]Branch, 0, count)
+	// The header count is untrusted: preallocate at most maxPrealloc
+	// branches and let append grow past that as branches actually
+	// decode, so a tiny file claiming 2^32 branches fails at EOF instead
+	// of exhausting memory.
+	t.Branches = make([]Branch, 0, min(count, maxPrealloc))
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadVarint(br)
@@ -285,8 +269,9 @@ func Read(r io.Reader) (*Trace, error) {
 
 // Hash returns a content hash of the trace's branch sequence (FNV-1a
 // over PC, outcome and µop count of every branch). Two traces hash
-// equal exactly when they drive a predictor identically, which is what
-// checkpoint caches key on — name and category are presentation.
+// equal exactly when they drive a predictor identically, which is why
+// the cell identity of a `file:` trace is its hash — name, category and
+// path are presentation.
 func (t *Trace) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -11,7 +11,7 @@ import (
 
 // Spec identifies one workload: a named synthetic benchmark, a resolved
 // generator spec, or a file-backed external trace. Name is the trace
-// identity everywhere (cell keys, store records, warm-cache keys); for
+// identity everywhere (cell keys, store records); for
 // named benchmarks it is the benchmark name, for generator specs the
 // canonical spec string, and for file sources the content-addressed
 // "file:<hash>" form.

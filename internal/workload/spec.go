@@ -3,9 +3,8 @@ package workload
 // The trace-spec grammar: workload identity as a parseable, canonically
 // stringable description, mirroring the ModelSpec pattern the model axis
 // already uses. A trace spec is the universal trace currency: the
-// harness keys cells by it, store records carry it, the distributed
-// wire format ships it so remote workers regenerate the same branches,
-// and the CLIs accept it wherever they accept benchmark names.
+// harness keys cells by it, store records carry it, and the CLIs accept
+// it wherever they accept benchmark names.
 //
 // Grammar:
 //
@@ -28,8 +27,8 @@ package workload
 // value formatting, so ParseTraceSpec(s.Canonical()) is the identity
 // and two spellings of one workload collide on the same cell key. The
 // 40 named benchmarks are sugar specs whose canonical form is exactly
-// the name, so every pre-spec cell key, golden record and warm-cache
-// key survives byte-identical.
+// the name, so every pre-spec cell key and golden record survives
+// byte-identical.
 
 import (
 	"fmt"
@@ -79,7 +78,7 @@ func (s TraceSpec) Field(key string) (string, bool) {
 }
 
 // Canonical returns the canonical spec string: parsing it back yields
-// an identical spec, and every layer (cell keys, stores, wire jobs)
+// an identical spec, and every layer (cell keys, stores)
 // uses this form as the trace identity for regenerable workloads.
 func (s TraceSpec) Canonical() string {
 	if s.named {
@@ -295,7 +294,7 @@ func (s TraceSpec) WithField(key, val string) (TraceSpec, error) {
 // (errors surface here, not mid-run) and are named by content hash —
 // "file:<16-hex>" — so two paths to identical bytes collide on one cell
 // key and a changed file gets a fresh identity, while SpecString keeps
-// the resolvable "file:<path>" form for wire jobs and store records.
+// the resolvable "file:<path>" form for store records.
 func (s TraceSpec) Resolve() (Spec, error) {
 	switch {
 	case s.named:

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -85,7 +86,7 @@ func TestParseCanonicalIdentity(t *testing.T) {
 // TestNamedSugarByteIdentical: every named benchmark parses as a spec
 // whose canonical form is exactly the name and whose resolution
 // regenerates the same branches bit for bit — the property that keeps
-// every pre-spec cell key, golden record and warm-cache key valid.
+// every pre-spec cell key and golden record valid.
 func TestNamedSugarByteIdentical(t *testing.T) {
 	for _, want := range All() {
 		ts, err := ParseTraceSpec(want.Name)
@@ -338,6 +339,17 @@ func TestFileSpecResolve(t *testing.T) {
 
 	if _, err := ResolveSpec("file:" + filepath.Join(dir, "missing.bpt")); err == nil {
 		t.Fatal("missing file resolved")
+	}
+
+	// An 11-byte file whose header claims 2^32 branches is refused with
+	// an error rather than preallocated into an out-of-memory crash.
+	huge := filepath.Join(dir, "huge.bpt")
+	hdr := binary.AppendUvarint([]byte("BPT1\x00\x00"), 1<<32)
+	if err := os.WriteFile(huge, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResolveSpec("file:" + huge); err == nil {
+		t.Fatal("truncated 2^32-branch file resolved")
 	}
 }
 

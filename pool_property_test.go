@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// Property suite for the predictor pool and intra-cell parallelism.
-// The contract under test is the one NewRunner and RunSuite document:
-// a pooled instance Reset between runs, and a suite sharded across
-// goroutines, are both byte-identical to fresh serial Run calls. The
-// specs are drawn from the declarative grammar so arbitrary points of
-// the design space — not just the named models — are covered.
+// Property suite for the predictor pool. The contract under test is the
+// one NewRunner and RunSuite document: a pooled instance Reset between
+// runs is byte-identical to fresh Run calls, whatever order the traces
+// go through it. The specs are drawn from the declarative grammar so
+// arbitrary points of the design space — not just the named models —
+// are covered.
 
 // propertySpecs samples the spec grammar deterministically: every kind,
 // parameterised variants, budget-scaled variants, and composite stacks.
@@ -82,8 +82,10 @@ func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 }
 
 // TestRunSuiteShardingZeroMovement: RunSuite over a subset of the suite
-// must return identical per-trace results for any worker count —
-// sharding is scheduling, never measurement.
+// must return per-trace results identical to fresh GenerateTrace + Run
+// calls, and a suite cut into shards, or run in another order, must
+// not move any trace — which traces share the pooled instance is
+// scheduling, never measurement.
 func TestRunSuiteShardingZeroMovement(t *testing.T) {
 	names := []string{"INT01", "CLIENT01", "MM05", "SERVER03", "WS07", "INT04", "MM01"}
 	for _, modelName := range []string{"tage", "gshare"} {
@@ -92,22 +94,40 @@ func TestRunSuiteShardingZeroMovement(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := Options{Scenario: ScenarioA, Window: 24}
-		serial, err := m.RunSuite(names, 2500, opt, 1)
+		suite, err := m.RunSuite(names, 2500, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, len(names), len(names) + 9} {
-			par, err := m.RunSuite(names, 2500, opt, workers)
-			if err != nil {
-				t.Fatal(err)
+		if len(suite) != len(names) {
+			t.Fatalf("%s: %d results, want %d", modelName, len(suite), len(names))
+		}
+		want := make(map[string]Result, len(names))
+		for i, name := range names {
+			fresh := normalize(m.Run(MustGenerateTrace(name, 2500), opt))
+			if got := normalize(suite[i]); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("%s trace %s: suite result differs from a fresh run\ngot:  %+v\nwant: %+v",
+					modelName, name, got, fresh)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d: %d results, want %d", modelName, workers, len(par), len(serial))
-			}
-			for i := range serial {
-				if got, want := normalize(par[i]), normalize(serial[i]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s workers=%d trace %s: sharded result moved\ngot:  %+v\nwant: %+v",
-						modelName, workers, names[i], got, want)
+			want[name] = fresh
+		}
+		for _, shards := range []int{2, 3, len(names)} {
+			for lo := 0; lo < len(names); lo += (len(names) + shards - 1) / shards {
+				hi := min(lo+(len(names)+shards-1)/shards, len(names))
+				// Run each shard back to front so every trace follows a
+				// different predecessor than in the whole-suite run.
+				shard := make([]string, 0, hi-lo)
+				for i := hi - 1; i >= lo; i-- {
+					shard = append(shard, names[i])
+				}
+				res, err := m.RunSuite(shard, 2500, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, name := range shard {
+					if got := normalize(res[i]); !reflect.DeepEqual(got, want[name]) {
+						t.Fatalf("%s shards=%d trace %s: sharded result moved\ngot:  %+v\nwant: %+v",
+							modelName, shards, name, got, want[name])
+					}
 				}
 			}
 		}

@@ -53,10 +53,6 @@ type (
 	Branch = trace.Branch
 	// Options configures a simulation run.
 	Options = sim.Options
-	// Checkpoint is a mid-trace (or end-of-trace) simulation snapshot:
-	// assign one to Options.Resume to warm-start a run, receive them via
-	// Options.OnCheckpoint.
-	Checkpoint = sim.Checkpoint
 	// Result is the outcome of simulating one trace.
 	Result = sim.Result
 	// Suite aggregates per-trace results.

@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/trace"
@@ -57,15 +56,12 @@ func MustGenerateTrace(spec string, branches int) *Trace {
 }
 
 // RunSuite simulates the model over each listed workload (names or
-// trace specs) at `branches` branches, sharding the list across
-// `workers` goroutines (the bpsim -cell-par knob). Shard s owns
-// entries s, s+workers, ... and runs them on one pooled instance,
-// generating its own traces and resetting the predictor between them —
-// every trace still starts cold, so each Result is byte-identical to a
-// serial GenerateTrace + Run loop for any worker count. Results come
-// back in input order. workers outside [1, len(names)] is clamped. All
-// specs are resolved up front, so a typo fails before any simulation.
-func (m *Model) RunSuite(names []string, branches int, opt Options, workers int) ([]Result, error) {
+// trace specs) at `branches` branches, serially on one pooled instance:
+// the predictor is Reset between traces, so every trace starts cold and
+// each Result is byte-identical to a GenerateTrace + Run loop on fresh
+// instances. Results come back in input order. All specs are resolved
+// up front, so a typo fails before any simulation.
+func (m *Model) RunSuite(names []string, branches int, opt Options) ([]Result, error) {
 	specs := make([]workload.Spec, len(names))
 	for i, n := range names {
 		sp, err := workload.ResolveSpec(n)
@@ -75,31 +71,10 @@ func (m *Model) RunSuite(names []string, branches int, opt Options, workers int)
 		specs[i] = sp
 	}
 	results := make([]Result, len(names))
-	if workers < 1 {
-		workers = 1
+	run := m.NewRunner()
+	for i, sp := range specs {
+		results[i] = run(workload.Generate(sp, branches), opt)
 	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	runShard := func(s int) {
-		run := m.NewRunner()
-		for i := s; i < len(specs); i += workers {
-			results[i] = run(workload.Generate(specs[i], branches), opt)
-		}
-	}
-	if workers == 1 {
-		runShard(0)
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runShard(s)
-		}(s)
-	}
-	wg.Wait()
 	return results, nil
 }
 
