@@ -16,11 +16,10 @@ func benchExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	cfg := experiments.Config{BranchesPerTrace: benchBranchesPerTrace}
 	for i := 0; i < b.N; i++ {
-		e, ok := experiments.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %s", id)
+		var rep experiments.Report
+		if err := experiments.Run([]string{id}, cfg, func(r experiments.Report) { rep = r }); err != nil {
+			b.Fatal(err)
 		}
-		rep := e.Run(cfg)
 		if len(rep.Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}

@@ -1,7 +1,8 @@
 // Command bpsim runs a branch predictor over synthetic benchmark traces
 // and reports accuracy and access statistics. -model accepts any model
 // spec: a named model or a parameterised configuration (see the README
-// "Model specs" section).
+// "Model specs" section). The traces run as a one-model matrix on the
+// harness executor bpbench and bptables use.
 //
 // Usage:
 //
@@ -19,6 +20,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/harness"
 )
 
 // resolve maps the -model and -scenario flag values to a Model and a
@@ -36,10 +38,26 @@ func resolve(model, scenario string) (*repro.Model, repro.Scenario, error) {
 	return m, sc, nil
 }
 
+// simulate runs the model over the traces (nil: all 40 benchmarks) as
+// a one-model matrix on the harness executor, returning each trace's
+// full result in trace order.
+func simulate(model string, traces []string, sc repro.Scenario, branches, window int) ([]repro.Result, error) {
+	mat, err := repro.NewBenchMatrix([]string{model}, traces, sc.Letter(), []int{branches})
+	if err != nil {
+		return nil, err
+	}
+	mat.Window = window
+	jobs, err := mat.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return harness.Simulate(jobs, harness.Config{})
+}
+
 func main() {
 	model := flag.String("model", "tage", "predictor model spec: a named model or kind:key=value,... (see -list)")
 	scenario := flag.String("scenario", "A", "update scenario: I, A, B or C")
-	traceName := flag.String("trace", "", "single workload to run: a benchmark name or trace spec like 'phased:period=4096#1' (default: all 40 benchmarks)")
+	traceName := flag.String("trace", "", "workload to run: a benchmark name, a name glob like 'INT*', or a trace spec like 'phased:period=4096#1' (default: all 40 benchmarks)")
 	branches := flag.Int("branches", 500000, "branches per trace")
 	window := flag.Int("window", 24, "in-flight branch window")
 	list := flag.Bool("list", false, "list models and traces, then exit")
@@ -62,16 +80,14 @@ func main() {
 		log.Error(fmt.Sprintf("bpsim: %v (try -list)", err))
 		os.Exit(1)
 	}
-	opt := repro.Options{Scenario: sc, Window: *window}
-	names := repro.TraceNames()
+	var traces []string
 	if *traceName != "" {
-		names = []string{*traceName}
+		traces = []string{*traceName}
 	}
-	log.Debug(fmt.Sprintf("bpsim: running %d trace(s) of %d branches", len(names), *branches))
+	log.Debug(fmt.Sprintf("bpsim: running %d branches per trace", *branches))
 	fmt.Printf("# model=%s storage=%dKbit scenario=%s branches/trace=%d\n",
 		m.Name(), m.StorageBits()/1024, sc, *branches)
-
-	results, err := m.RunSuite(names, *branches, opt)
+	results, err := simulate(*model, traces, sc, *branches, *window)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpsim: %v", err))
 		os.Exit(1)
@@ -83,7 +99,7 @@ func main() {
 			res.Trace, res.MPKI, res.MPPKI, 100*res.Misprediction,
 			res.Access.AccessesPerBranch())
 	}
-	if len(names) > 1 {
+	if len(results) > 1 {
 		acc := suite.AccessTotals()
 		fmt.Printf("# suite: MPKI-sum=%.1f MPPKI-sum=%.0f silent-updates=%.1f%% writes/100br=%.2f\n",
 			suite.TotalMPKI(), suite.TotalMPPKI(),

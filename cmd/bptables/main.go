@@ -1,9 +1,12 @@
 // Command bptables regenerates the paper's tables and figures
 // (experiments E1..E15, see the internal/experiments index), printing
 // paper-vs-measured rows and the shape checks each experiment must
-// satisfy. With -model it instead evaluates one arbitrary model spec
-// over the whole 40-trace suite — the quick answer to "how would this
-// point of the design space have scored in the paper's tables".
+// satisfy. The experiments of one invocation share their simulated
+// suites: a (model, scenario) suite two experiments read runs once, on
+// the harness executor bpbench uses. With -model it instead evaluates
+// one arbitrary model spec over the whole 40-trace suite — the quick
+// answer to "how would this point of the design space have scored in
+// the paper's tables".
 //
 // Usage:
 //
@@ -45,7 +48,7 @@ func main() {
 		os.Exit(runModelSpec(*model, *branches, log))
 	}
 
-	cfg := repro.ExperimentConfig{BranchesPerTrace: *branches, ResultStore: *store}
+	cfg := experiments.Config{BranchesPerTrace: *branches, ResultStore: *store}
 	ids := repro.ExperimentIDs()
 	if *expFlag != "" {
 		ids = strings.Split(*expFlag, ",")
@@ -53,24 +56,23 @@ func main() {
 
 	failures := 0
 	start := time.Now()
-	for _, id := range ids {
-		t0 := time.Now()
-		log.Debug(fmt.Sprintf("bptables: running experiment %s", strings.TrimSpace(id)))
-		rep, ok := repro.RunExperiment(strings.TrimSpace(id), cfg)
-		if !ok {
-			log.Error(fmt.Sprintf("bptables: unknown experiment %q", id))
-			failures++
-			continue
-		}
+	t0 := start
+	log.Debug(fmt.Sprintf("bptables: running experiments %s", strings.Join(ids, ",")))
+	err := experiments.Run(ids, cfg, func(rep experiments.Report) {
 		if *markdown {
 			experiments.RenderMarkdown(os.Stdout, rep)
 		} else {
-			repro.RenderReport(os.Stdout, rep)
+			experiments.Render(os.Stdout, rep)
 			fmt.Printf("   (%.1fs)\n", time.Since(t0).Seconds())
 		}
+		t0 = time.Now()
 		if !rep.Passed() {
 			failures++
 		}
+	})
+	if err != nil {
+		log.Error(fmt.Sprintf("bptables: %v", err))
+		os.Exit(2)
 	}
 	fmt.Printf("# total %.1fs, %d experiment(s) with failing shape checks\n",
 		time.Since(start).Seconds(), failures)

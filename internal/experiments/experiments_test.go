@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"maps"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,7 +28,7 @@ func TestRegistryCompleteAndOrdered(t *testing.T) {
 		if e.ID != wantID {
 			t.Errorf("position %d: id %s, want %s", i, e.ID, wantID)
 		}
-		if e.Run == nil || e.Title == "" {
+		if e.report == nil || e.Title == "" {
 			t.Errorf("%s: incomplete registration", e.ID)
 		}
 	}
@@ -90,32 +93,84 @@ func TestReportPassed(t *testing.T) {
 	}
 }
 
-func TestMakeRunnerColdStatePerTrace(t *testing.T) {
-	// The runner must construct a fresh predictor per trace: two identical
-	// invocations give identical totals.
-	cfg := Config{BranchesPerTrace: 5000}
-	r := GshareRunner()
-	a := r(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMispredictions()
-	b := r(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMispredictions()
-	if a != b {
-		t.Fatalf("suite runs not reproducible: %d vs %d", a, b)
+// TestSuitesReproducible: a suite simulated on the harness pool, with
+// pooled predictors Reset between cells, is identical when simulated
+// again in a fresh memo at another parallelism.
+func TestSuitesReproducible(t *testing.T) {
+	models, scs := []string{"gshare", "tage"}, []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB}
+	var runs [2]*suites
+	for i, par := range []int{1, 2} {
+		runs[i] = newSuites(Config{BranchesPerTrace: 1500, Parallelism: par})
+		if err := runs[i].run(models, scs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range runs[0].done {
+		a, b := runs[0].get(c.model, c.scenario), runs[1].get(c.model, c.scenario)
+		for i := range a.Results {
+			a.Results[i].Elapsed, a.Results[i].BranchesPerSec = 0, 0
+			b.Results[i].Elapsed, b.Results[i].BranchesPerSec = 0, 0
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s/%s: suite runs not reproducible", c.model, c.scenario.Letter())
+		}
 	}
 }
 
 func TestSuiteRunnerCovers40Traces(t *testing.T) {
-	cfg := Config{BranchesPerTrace: 2000}
-	suite := GshareRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	if len(suite.Results) != 40 {
-		t.Fatalf("suite has %d results, want 40", len(suite.Results))
+	s := newSuites(Config{BranchesPerTrace: 2000})
+	if err := s.run([]string{"gshare"}, scenarioA); err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, res := range suite.Results {
-		if seen[res.Trace] {
-			t.Fatalf("duplicate trace %s", res.Trace)
+	suite := s.get("gshare", predictor.ScenarioA)
+	specs := workload.All()
+	if len(suite.Results) != len(specs) || len(specs) != 40 {
+		t.Fatalf("suite has %d results over %d traces, want 40", len(suite.Results), len(specs))
+	}
+	for i, res := range suite.Results {
+		if res.Trace != specs[i].Name {
+			t.Fatalf("result %d is trace %s, want %s (workload.All order)", i, res.Trace, specs[i].Name)
 		}
-		seen[res.Trace] = true
 		if res.Branches == 0 {
 			t.Fatalf("trace %s ran no branches", res.Trace)
+		}
+	}
+}
+
+// TestRunSharesSuitesAcrossExperiments: E2 and E4 both read reference
+// TAGE under all four scenarios, so one Run over both simulates 16
+// distinct suites, not 20.
+func TestRunSharesSuitesAcrossExperiments(t *testing.T) {
+	var reports []Report
+	s, err := run([]string{"E2", "E4"}, Config{BranchesPerTrace: 500}, func(r Report) { reports = append(reports, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0].ID != "E2" || reports[1].ID != "E4" {
+		t.Fatalf("emitted %d reports, want E2 then E4", len(reports))
+	}
+	if s.simulated != 16 || len(s.done) != 16 {
+		t.Fatalf("Run over E2 and E4 simulated %d suites (%d memoised), want 16", s.simulated, len(s.done))
+	}
+}
+
+func TestRunRejectsUnknownIDFirst(t *testing.T) {
+	emitted := 0
+	err := Run([]string{"E1", "E99"}, Config{BranchesPerTrace: 500}, func(Report) { emitted++ })
+	if err == nil || !strings.Contains(err.Error(), "E99") || emitted != 0 {
+		t.Fatalf("unknown id: err=%v after %d reports, want an error naming it before any report", err, emitted)
+	}
+}
+
+// TestModelTableCoversDeclaredCells: every model an experiment declares
+// is an entry of the configuration table.
+func TestModelTableCoversDeclaredCells(t *testing.T) {
+	table := paperModels()
+	for _, e := range Registry() {
+		for _, m := range e.models {
+			if _, ok := table[m]; !ok {
+				t.Errorf("%s declares unknown model %q", e.ID, m)
+			}
 		}
 	}
 }
@@ -137,7 +192,10 @@ func TestE15Fast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	rep := E15(Config{BranchesPerTrace: 20000})
+	var rep Report
+	if err := Run([]string{"E15"}, Config{BranchesPerTrace: 20000}, func(r Report) { rep = r }); err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -221,5 +279,54 @@ func TestRunMatrixResultStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("store path diverges from in-memory path:\nmem   %+v\nstore %+v", a, b)
+	}
+}
+
+// TestPooledRunnerMatchesFreshAcrossTable: every configuration of the
+// table — plus scaled variants of the two Figure 9 models — run through
+// one pooled runner (Reset between cells) over 3 traces × 2 scenarios in
+// shuffled order returns exactly what fresh Run calls return. A Reset
+// that misses any state shows up here as a moved result.
+func TestPooledRunnerMatchesFreshAcrossTable(t *testing.T) {
+	table := paperModels()
+	models := make([]harness.Model, 0, len(table)+2)
+	for _, name := range slices.Sorted(maps.Keys(table)) {
+		models = append(models, table[name])
+	}
+	for _, d := range []int{-2, 1} {
+		for _, base := range []string{"tage", "tage-lsc"} {
+			m := table[base].Scale(d)
+			m.Name = harness.ScaledName(base, d)
+			models = append(models, m)
+		}
+	}
+	type cellRun struct {
+		trace string
+		sc    predictor.Scenario
+	}
+	var runs []cellRun
+	for _, tr := range []string{"CLIENT02", "INT03", "WS03"} {
+		for _, sc := range []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB} {
+			runs = append(runs, cellRun{tr, sc})
+		}
+	}
+	for i, m := range models {
+		t.Run(m.Name, func(t *testing.T) {
+			t.Parallel()
+			order := slices.Clone(runs)
+			rand.New(rand.NewSource(int64(i)+1)).Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			run := m.NewRunner()
+			for _, c := range order {
+				tr := workload.Generate(mustFind(c.trace), 5000)
+				opt := sim.Options{Scenario: c.sc}
+				pooled, fresh := run(tr, opt), m.Run(tr, opt)
+				pooled.Elapsed, pooled.BranchesPerSec = 0, 0
+				fresh.Elapsed, fresh.BranchesPerSec = 0, 0
+				if !reflect.DeepEqual(pooled, fresh) {
+					t.Fatalf("%s/%s after %v: pooled runner diverged from a fresh run\npooled: %+v\nfresh:  %+v",
+						c.trace, c.sc.Letter(), order, pooled, fresh)
+				}
+			}
+		})
 	}
 }

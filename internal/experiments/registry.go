@@ -3,36 +3,64 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"repro/internal/predictor"
 )
 
-// Experiment couples an id with its runner.
+// Experiment couples an id with the suites it reads and the report it
+// renders from them.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Config) Report
+	// report reads the suites of every model under every scenario; Run
+	// simulates the ones no earlier experiment of the call already did.
+	models    []string
+	scenarios []predictor.Scenario
+	report    func(s *suites) Report
 }
 
 // Registry lists every experiment in the paper-order E1..E15.
 func Registry() []Experiment {
 	return []Experiment{
-		{"E1", "Effective writes with silent-update elimination (§4.1.1)", E1},
-		{"E2", "Delayed-update scenarii (§4.1.2)", E2},
-		{"E3", "Bank-interleaved single-ported TAGE (§4.3)", E3},
-		{"E4", "Immediate Update Mimicker (§5.1)", E4},
-		{"E5", "Loop predictor on top of TAGE+IUM (§5.2)", E5},
-		{"E6", "Statistical Corrector on top of TAGE+IUM+loop (§5.3)", E6},
-		{"E7", "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)", E7},
-		{"E8", "Local Statistical Corrector (§6.1)", E8},
-		{"E9", "512Kbit budget match: TAGE-LSC vs ISL-TAGE (§6.1)", E9},
-		{"E10", "History series robustness of TAGE-LSC (§6.2)", E10},
-		{"E11", "Figure 9: TAGE vs TAGE-LSC size scaling", E11},
-		{"E12", "Figure 10: TAGE family vs neural predictors", E12},
-		{"E13", "Interleaved TAGE-LSC (§7.1)", E13},
-		{"E14", "Eliminating retire reads on TAGE-LSC (§7.2)", E14},
-		{"E15", "Benchmark set characterisation (§2.2)", E15},
+		{"E1", "Effective writes with silent-update elimination (§4.1.1)",
+			[]string{"tage", "gehl", "gshare"}, scenarioA, e1},
+		{"E2", "Delayed-update scenarii (§4.1.2)",
+			[]string{"gshare", "gehl", "tage"}, allScenarios, e2},
+		{"E3", "Bank-interleaved single-ported TAGE (§4.3)",
+			[]string{"tage", "tage-banked"}, []predictor.Scenario{predictor.ScenarioC}, e3},
+		{"E4", "Immediate Update Mimicker (§5.1)",
+			[]string{"tage", "tage-iumflag"}, allScenarios, e4},
+		{"E5", "Loop predictor on top of TAGE+IUM (§5.2)",
+			[]string{"tage+ium", "tage+ium+loop"}, scenarioA, e5},
+		{"E6", "Statistical Corrector on top of TAGE+IUM+loop (§5.3)",
+			[]string{"tage+ium+loop", "isl-tage"}, scenarioA, e6},
+		{"E7", "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)",
+			[]string{"tage", "isl-tage", "tage-2m"}, scenarioA, e7},
+		{"E8", "Local Statistical Corrector (§6.1)",
+			[]string{"tage+ium", "isl-tage", "tage+ium+loop+sc+lsc", "tage+ium+lsc"}, scenarioA, e8},
+		{"E9", "512Kbit budget match: TAGE-LSC vs ISL-TAGE (§6.1)",
+			[]string{"tage-lsc", "isl-tage-512k"}, scenarioA, e9},
+		{"E10", "History series robustness of TAGE-LSC (§6.2)",
+			e10Models(), scenarioA, e10},
+		{"E11", "Figure 9: TAGE vs TAGE-LSC size scaling", nil, nil, e11},
+		{"E12", "Figure 10: TAGE family vs neural predictors",
+			[]string{"isl-tage", "tage-lsc", "ohsnap", "ftlpp"}, scenarioA, e12},
+		{"E13", "Interleaved TAGE-LSC (§7.1)",
+			[]string{"tage-lsc", "tage-lsc-banked"}, scenarioA, e13},
+		{"E14", "Eliminating retire reads on TAGE-LSC (§7.2)",
+			[]string{"tage-lsc-banked"}, []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioC, predictor.ScenarioB}, e14},
+		{"E15", "Benchmark set characterisation (§2.2)",
+			[]string{"tage+ium+loop"}, scenarioA, e15},
 	}
+}
+
+func e10Models() []string {
+	var out []string
+	for _, v := range e10Variants {
+		out = append(out, v.label)
+	}
+	return out
 }
 
 // Lookup finds an experiment by id (case-insensitive).
@@ -89,9 +117,4 @@ func RenderMarkdown(w io.Writer, r Report) {
 		fmt.Fprintf(w, "- _%s_\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// SortChecks orders a report's checks by name (stable output for docs).
-func SortChecks(r *Report) {
-	sort.SliceStable(r.Checks, func(a, b int) bool { return r.Checks[a].Name < r.Checks[b].Name })
 }

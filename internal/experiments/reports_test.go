@@ -18,20 +18,35 @@ func reportsGolden() string {
 	return filepath.Join("testdata", "reports-3000.txt")
 }
 
-// renderOneByOne renders every experiment, each in its own run.
-func renderOneByOne(t *testing.T, cfg Config) []byte {
+// renderAll renders every experiment in one Run, sharing suites.
+func renderAll(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	var ids []string
+	for _, e := range Registry() {
+		ids = append(ids, e.ID)
+	}
+	var buf bytes.Buffer
+	if err := Run(ids, cfg, func(r Report) { Render(&buf, r) }); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// renderOne renders one experiment in its own Run.
+func renderOne(t *testing.T, id string, cfg Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, e := range Registry() {
-		Render(&buf, e.Run(cfg))
+	if err := Run([]string{id}, cfg, func(r Report) { Render(&buf, r) }); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestReportsGolden locks every rendered report, FAIL lines included, at
-// a small fixed trace length: a refactor of how experiments run their
-// suites must not move a single byte. Regenerate after an intended
-// change with
+// a small fixed trace length, rendered both in one Run over all
+// experiments (suites shared between them) and one experiment per Run:
+// how experiments run their suites must not move a single byte.
+// Regenerate after an intended change with
 //
 //	go test ./internal/experiments -run TestReportsGolden -update
 func TestReportsGolden(t *testing.T) {
@@ -39,7 +54,7 @@ func TestReportsGolden(t *testing.T) {
 		t.Skip("renders all fifteen experiments")
 	}
 	cfg := Config{BranchesPerTrace: reportBranches}
-	got := renderOneByOne(t, cfg)
+	got := renderAll(t, cfg)
 	if *updateReports {
 		if err := os.WriteFile(reportsGolden(), got, 0o644); err != nil {
 			t.Fatal(err)
@@ -50,7 +65,14 @@ func TestReportsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("reports moved against %s:\n%s", reportsGolden(), got)
+		t.Fatalf("reports from one Run moved against %s:\n%s", reportsGolden(), got)
+	}
+	var one []byte
+	for _, e := range Registry() {
+		one = append(one, renderOne(t, e.ID, cfg)...)
+	}
+	if !bytes.Equal(one, want) {
+		t.Fatalf("reports rendered one experiment per Run moved against %s:\n%s", reportsGolden(), one)
 	}
 }
 
@@ -63,9 +85,11 @@ func TestE11StoreRerender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the Figure 9 grid")
 	}
-	e11, _ := Lookup("E11")
 	render := func(cfg Config) []byte {
-		rep := e11.Run(cfg)
+		var rep Report
+		if err := Run([]string{"E11"}, cfg, func(r Report) { rep = r }); err != nil {
+			t.Fatal(err)
+		}
 		notes := rep.Notes[:0:0]
 		for _, n := range rep.Notes {
 			if !strings.HasPrefix(n, "store ") {

@@ -7,27 +7,24 @@ import (
 	"repro/internal/predictor"
 )
 
-// E1 reproduces Section 4.1.1: effective writes per misprediction and per
+// e1 reproduces Section 4.1.1: effective writes per misprediction and per
 // 100 retired branches for TAGE, GEHL and gshare, with silent updates
 // eliminated. Paper: TAGE 2.17/9.06, GEHL 1.94/9.10, gshare 1.54/9.61.
-func E1(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E1", Title: "Effective writes with silent-update elimination (§4.1.1)"}
-	type entry struct {
+func e1(s *suites) Report {
+	var r Report
+	entries := []struct {
 		name    string
-		runner  SuiteRunner
+		model   string
 		paperWM string
 		paperWB string
-	}
-	entries := []entry{
-		{"TAGE 512Kb", TAGERunner(false, false), "2.17", "9.06"},
-		{"GEHL 520Kb", GEHLRunner(), "1.94", "9.10"},
-		{"gshare 512Kb", GshareRunner(), "1.54", "9.61"},
+	}{
+		{"TAGE 512Kb", "tage", "2.17", "9.06"},
+		{"GEHL 520Kb", "gehl", "1.94", "9.10"},
+		{"gshare 512Kb", "gshare", "1.54", "9.61"},
 	}
 	silentOK := true
 	for _, e := range entries {
-		suite := e.runner(cfg, cfg.simOptions(predictor.ScenarioA))
-		acc := suite.AccessTotals()
+		acc := s.get(e.model, predictor.ScenarioA).AccessTotals()
 		r.row(e.name+" writes/mispredict", e.paperWM, "%.2f", acc.WritesPerMisprediction())
 		r.row(e.name+" writes/100 branches", e.paperWB, "%.2f", acc.WritesPer100Branches())
 		r.row(e.name+" silent fraction", ">0.90", "%.3f", acc.SilentFraction())
@@ -39,7 +36,7 @@ func E1(cfg Config) Report {
 	return r
 }
 
-// E2 reproduces Section 4.1.2: suite MPPKI under the four update-timing
+// e2 reproduces Section 4.1.2: suite MPPKI under the four update-timing
 // scenarii for gshare, GEHL and TAGE. Paper values:
 //
 //	gshare: [I] 944  [A] 970  [B] 1292 [C] 1011
@@ -48,26 +45,22 @@ func E1(cfg Config) Report {
 //
 // Shape: I <= A <= C <= B for every predictor; the relative [B] and [C]
 // degradations are far larger for gshare and GEHL than for TAGE.
-func E2(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E2", Title: "Delayed-update scenarii (§4.1.2)"}
-	type entry struct {
-		name   string
-		runner SuiteRunner
-		paper  [4]string // I, A, B, C
+func e2(s *suites) Report {
+	var r Report
+	entries := []struct {
+		name  string
+		model string
+		paper [4]string // I, A, B, C
+	}{
+		{"gshare", "gshare", [4]string{"944", "970", "1292", "1011"}},
+		{"GEHL", "gehl", [4]string{"664", "685", "801", "744"}},
+		{"TAGE", "tage", [4]string{"609", "617", "640", "625"}},
 	}
-	entries := []entry{
-		{"gshare", GshareRunner(), [4]string{"944", "970", "1292", "1011"}},
-		{"GEHL", GEHLRunner(), [4]string{"664", "685", "801", "744"}},
-		{"TAGE", TAGERunner(false, false), [4]string{"609", "617", "640", "625"}},
-	}
-	order := []predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC}
 	mppki := map[string]map[predictor.Scenario]float64{}
 	for _, e := range entries {
-		suites := scenarioSet(e.runner, cfg)
 		mppki[e.name] = map[predictor.Scenario]float64{}
-		for i, sc := range order {
-			v := suites[sc].TotalMPPKI()
+		for i, sc := range allScenarios {
+			v := s.get(e.model, sc).TotalMPPKI()
 			mppki[e.name][sc] = v
 			r.row(fmt.Sprintf("%s %s MPPKI", e.name, sc), e.paper[i], "%.0f", v)
 		}
@@ -99,14 +92,13 @@ func E2(cfg Config) Report {
 	return r
 }
 
-// E3 reproduces Section 4.3: 4-way bank-interleaved single-ported TAGE
+// e3 reproduces Section 4.3: 4-way bank-interleaved single-ported TAGE
 // under scenario [C]. Paper: 627 MPPKI interleaved vs 625 flat; 1.13
 // accesses per retired branch; CACTI ratios 3.3x area and 2x energy.
-func E3(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E3", Title: "Bank-interleaved single-ported TAGE (§4.3)"}
-	flat := TAGERunner(false, false)(cfg, cfg.simOptions(predictor.ScenarioC))
-	inter := TAGERunner(true, false)(cfg, cfg.simOptions(predictor.ScenarioC))
+func e3(s *suites) Report {
+	var r Report
+	flat := s.get("tage", predictor.ScenarioC)
+	inter := s.get("tage-banked", predictor.ScenarioC)
 	fm, im := flat.TotalMPPKI(), inter.TotalMPPKI()
 	r.row("TAGE [C] flat MPPKI", "625", "%.0f", fm)
 	r.row("TAGE [C] 4-way interleaved MPPKI", "627", "%.0f", im)
@@ -128,22 +120,21 @@ func E3(cfg Config) Report {
 	return r
 }
 
-// E4 reproduces Section 5.1: the IUM recovers most of the delayed-update
+// e4 reproduces Section 5.1: the IUM recovers most of the delayed-update
 // accuracy loss. Paper: [I] 609; without IUM [A] 617, [B] 640, [C] 625;
 // with IUM [A] 611, [B] 624, [C] 614.
-func E4(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E4", Title: "Immediate Update Mimicker (§5.1)"}
-	plain := scenarioSet(TAGERunner(false, false), cfg)
-	withIUM := scenarioSet(TAGERunner(false, true), cfg)
-	base := plain[predictor.ScenarioI].TotalMPPKI()
+func e4(s *suites) Report {
+	var r Report
+	plain := func(sc predictor.Scenario) float64 { return s.get("tage", sc).TotalMPPKI() }
+	withIUM := func(sc predictor.Scenario) float64 { return s.get("tage-iumflag", sc).TotalMPPKI() }
+	base := plain(predictor.ScenarioI)
 	r.row("TAGE [I] (oracle)", "609", "%.0f", base)
 	paperPlain := map[predictor.Scenario]string{predictor.ScenarioA: "617", predictor.ScenarioB: "640", predictor.ScenarioC: "625"}
 	paperIUM := map[predictor.Scenario]string{predictor.ScenarioA: "611", predictor.ScenarioB: "624", predictor.ScenarioC: "614"}
 	recovered := map[predictor.Scenario]float64{}
 	for _, sc := range []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC} {
-		p := plain[sc].TotalMPPKI()
-		w := withIUM[sc].TotalMPPKI()
+		p := plain(sc)
+		w := withIUM(sc)
 		r.row(fmt.Sprintf("TAGE %s no IUM", sc), paperPlain[sc], "%.0f", p)
 		r.row(fmt.Sprintf("TAGE %s with IUM", sc), paperIUM[sc], "%.0f", w)
 		if p > base {
@@ -153,9 +144,9 @@ func E4(cfg Config) Report {
 			predictor.ScenarioA: "~3/4", predictor.ScenarioB: "~1/2", predictor.ScenarioC: "most"}[sc],
 			"%.0f%%", 100*recovered[sc])
 	}
-	r.check("IUM helps in scenario A", withIUM[predictor.ScenarioA].TotalMPPKI() < plain[predictor.ScenarioA].TotalMPPKI())
-	r.check("IUM helps in scenario B (the largest gap)", withIUM[predictor.ScenarioB].TotalMPPKI() < plain[predictor.ScenarioB].TotalMPPKI())
-	r.check("IUM neutral-or-better in scenario C", withIUM[predictor.ScenarioC].TotalMPPKI() <= plain[predictor.ScenarioC].TotalMPPKI()*1.01)
+	r.check("IUM helps in scenario A", withIUM(predictor.ScenarioA) < plain(predictor.ScenarioA))
+	r.check("IUM helps in scenario B (the largest gap)", withIUM(predictor.ScenarioB) < plain(predictor.ScenarioB))
+	r.check("IUM neutral-or-better in scenario C", withIUM(predictor.ScenarioC) <= plain(predictor.ScenarioC)*1.01)
 	r.check("IUM recovers a substantial part of the delayed-update gap",
 		recovered[predictor.ScenarioA] > 0.3 || recovered[predictor.ScenarioB] > 0.3)
 	return r

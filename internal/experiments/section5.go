@@ -1,40 +1,14 @@
 package experiments
 
-import (
-	"repro/internal/composed"
-	"repro/internal/predictor"
-	"repro/internal/tage"
-)
+import "repro/internal/predictor"
 
-func tageIUMRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.TageIUM(tage.Reference(), "TAGE+IUM")
-	})
-}
-
-func tageIUMLoopRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		cfg := composed.TageIUM(tage.Reference(), "TAGE+IUM+loop")
-		cfg.UseLoop = true
-		return cfg
-	})
-}
-
-func islRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.ISLTAGE(tage.Reference(), "ISL-TAGE")
-	})
-}
-
-// E5 reproduces Section 5.2: the loop predictor on top of TAGE+IUM.
+// e5 reproduces Section 5.2: the loop predictor on top of TAGE+IUM.
 // Paper: 611 -> 593 MPPKI, "approximately a 3% reduction of the
 // performance loss".
-func E5(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E5", Title: "Loop predictor on top of TAGE+IUM (§5.2)"}
-	base := tageIUMRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	withLoop := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	b, w := base.TotalMPPKI(), withLoop.TotalMPPKI()
+func e5(s *suites) Report {
+	var r Report
+	b := s.get("tage+ium", predictor.ScenarioA).TotalMPPKI()
+	w := s.get("tage+ium+loop", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", w)
 	r.row("reduction", "-3%", "%s", pct(w-b, b))
@@ -43,14 +17,12 @@ func E5(cfg Config) Report {
 	return r
 }
 
-// E6 reproduces Section 5.3: the global Statistical Corrector on top of
+// e6 reproduces Section 5.3: the global Statistical Corrector on top of
 // TAGE+IUM+loop. Paper: 593 -> 580 MPPKI ("approximately a 2% reduction").
-func E6(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E6", Title: "Statistical Corrector on top of TAGE+IUM+loop (§5.3)"}
-	base := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	isl := islRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	b, w := base.TotalMPPKI(), isl.TotalMPPKI()
+func e6(s *suites) Report {
+	var r Report
+	b := s.get("tage+ium+loop", predictor.ScenarioA).TotalMPPKI()
+	w := s.get("isl-tage", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", b)
 	r.row("ISL-TAGE (+SC) MPPKI", "580", "%.0f", w)
 	r.row("reduction", "-2%", "%s", pct(w-b, b))
@@ -59,18 +31,13 @@ func E6(cfg Config) Report {
 	return r
 }
 
-// E7 reproduces Section 5.4: ISL-TAGE reduces the misprediction rate of
+// e7 reproduces Section 5.4: ISL-TAGE reduces the misprediction rate of
 // the 512Kbit TAGE by ~6%, roughly what scaling TAGE to 2Mbits buys.
-func E7(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E7", Title: "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	t512 := TAGERunner(false, false)(cfg, opts)
-	isl := islRunner()(cfg, opts)
-	t2m := MakeRunner(func() predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Scale(tage.Reference(), 2))
-	})(cfg, opts)
-	a, b, c := t512.TotalMPPKI(), isl.TotalMPPKI(), t2m.TotalMPPKI()
+func e7(s *suites) Report {
+	var r Report
+	a := s.get("tage", predictor.ScenarioA).TotalMPPKI()
+	b := s.get("isl-tage", predictor.ScenarioA).TotalMPPKI()
+	c := s.get("tage-2m", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE 512Kb MPPKI", "617", "%.0f", a)
 	r.row("ISL-TAGE 512Kb MPPKI", "580", "%.0f", b)
 	r.row("TAGE 2Mb MPPKI", "~580", "%.0f", c)

@@ -4,46 +4,24 @@ import (
 	"fmt"
 
 	"repro/internal/composed"
-	"repro/internal/ftlpp"
 	"repro/internal/harness"
-	"repro/internal/neural"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-func tageLSCRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")
-	})
-}
-
-func fullStackRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC")
-	})
-}
-
-// E8 reproduces Section 6.1: the LSC on top of the full stack reaches 555
+// e8 reproduces Section 6.1: the LSC on top of the full stack reaches 555
 // MPPKI; the LSC *alone* on TAGE+IUM reaches 559, i.e. it captures most
 // of what the loop predictor and the global SC capture; useful reverts
 // exceed 70%.
-func E8(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E8", Title: "Local Statistical Corrector (§6.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	base := tageIUMRunner()(cfg, opts)
-	isl := islRunner()(cfg, opts)
-	full := fullStackRunner()(cfg, opts)
-	lscOnly := ComposedRunner(func() composed.Config {
-		return composed.TAGELSC(tage.Reference(), "TAGE+IUM+LSC")
-	})(cfg, opts)
-	b := base.TotalMPPKI()
-	i := isl.TotalMPPKI()
-	f := full.TotalMPPKI()
-	lo := lscOnly.TotalMPPKI()
+func e8(s *suites) Report {
+	cfg := s.cfg
+	var r Report
+	b := s.get("tage+ium", predictor.ScenarioA).TotalMPPKI()
+	i := s.get("isl-tage", predictor.ScenarioA).TotalMPPKI()
+	f := s.get("tage+ium+loop+sc+lsc", predictor.ScenarioA).TotalMPPKI()
+	lo := s.get("tage+ium+lsc", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("ISL-TAGE (loop+SC) MPPKI", "580", "%.0f", i)
 	r.row("full stack +LSC MPPKI", "555", "%.0f", f)
@@ -53,10 +31,11 @@ func E8(cfg Config) Report {
 	r.check("LSC alone beats loop+SC (subsumption)", lo < i)
 	r.check("LSC alone close to full stack (within 6%)", lo <= f*1.06)
 
-	// Revert usefulness, measured on one representative trace.
+	// Revert usefulness, measured on one representative trace: a direct
+	// run, because the rate is read off the predictor afterwards.
 	p := composed.New(composed.TAGELSC(tage.Reference(), "probe"))
 	tr := workload.Generate(mustFind("WS03"), cfg.BranchesPerTrace)
-	sim.RunTrace[composed.Ctx](p, tr, opts)
+	sim.RunTrace[composed.Ctx](p, tr, sim.Options{Scenario: predictor.ScenarioA, Window: cfg.Window, ExecDelay: cfg.ExecDelay})
 	rate := p.LSC().RevertSuccessRate()
 	r.row("LSC revert success rate (WS03)", ">70%", "%.0f%%", 100*rate)
 	r.check("reverts are profitable (>50% correct)", rate > 0.5)
@@ -71,21 +50,13 @@ func mustFind(name string) workload.Spec {
 	return s
 }
 
-// E9 reproduces the Section 6.1 budget-matched comparison at 512 Kbits:
+// e9 reproduces the Section 6.1 budget-matched comparison at 512 Kbits:
 // TAGE-LSC 562 vs a same-structure ISL-TAGE 581 (the CBP-3 ISL-TAGE with
 // its extra tricks reached 568).
-func E9(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E9", Title: "512Kbit budget match: TAGE-LSC vs ISL-TAGE (§6.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	tagelsc := tageLSCRunner()(cfg, opts)
-	islSame := ComposedRunner(func() composed.Config {
-		c := composed.ISLTAGE(composed.Budget512K(), "ISL-TAGE-512K")
-		// "5 tables GEHL-like predictor for Statistical Corrector".
-		c.SC.Lengths = []int{0, 4, 10, 17, 31}
-		return c
-	})(cfg, opts)
-	a, b := tagelsc.TotalMPPKI(), islSame.TotalMPPKI()
+func e9(s *suites) Report {
+	var r Report
+	a := s.get("tage-lsc", predictor.ScenarioA).TotalMPPKI()
+	b := s.get("isl-tage-512k", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE-LSC 512Kb MPPKI", "562", "%.0f", a)
 	r.row("ISL-TAGE 512Kb (same structure) MPPKI", "581", "%.0f", b)
 	r.row("TAGE-LSC advantage", "-3.3%", "%s", pct(a-b, b))
@@ -95,77 +66,53 @@ func E9(cfg Config) Report {
 	return r
 }
 
-// tageConfigFor builds ~512Kbit TAGE configs with a given tagged-table
-// count and history series (the Section 6.2 robustness sweep).
-func tageConfigFor(nTagged, minHist, maxHist int, name string) tage.Config {
+// e10Variants are the points of the Section 6.2 robustness sweep: a
+// ~512Kbit TAGE-LSC with nTagged tagged tables over a (min, max) history
+// series. Each label also names the variant's model.
+var e10Variants = []struct {
+	label, paper      string
+	nTagged, min, max int
+}{
+	{"13-comp (6,2000) [base]", "562", 12, 6, 2000},
+	{"13-comp (3,300)", "575", 12, 3, 300},
+	{"13-comp (4,1000)", "563", 12, 4, 1000},
+	{"13-comp (8,5000)", "563", 12, 8, 5000},
+	{"9-comp (6,1000)", "566", 8, 6, 1000},
+	{"6-comp (6,500)", "583", 5, 6, 500},
+}
+
+// e10TAGE is a variant's TAGE component: the budget-matched reference
+// ladder for 12 tagged tables; otherwise 4K-entry tables (8 or more of
+// them) or one 4K-entry table then 8K-entry ones, with reference-rule
+// tag widths.
+func e10TAGE(nTagged, minHist, maxHist int, name string) tage.Config {
+	if nTagged >= 12 {
+		cfg := composed.Budget512K()
+		cfg.MinHist, cfg.MaxHist, cfg.Name = minHist, maxHist, name
+		return cfg
+	}
 	logs := make([]uint, nTagged)
 	tags := make([]uint, nTagged)
 	for i := range logs {
-		switch {
-		case nTagged >= 12: // reference-like ladder
-			ref := tage.Reference()
-			copy(logs, ref.TableLogs)
-			copy(tags, ref.TagBits)
-		case nTagged >= 8:
+		logs[i] = 13
+		if i == 0 || nTagged >= 8 {
 			logs[i] = 12
-		default:
-			if i == 0 {
-				logs[i] = 12
-			} else {
-				logs[i] = 13
-			}
 		}
-		if nTagged < 12 {
-			t := uint(5 + i + 1)
-			if t > 15 {
-				t = 15
-			}
-			tags[i] = t
-		}
+		tags[i] = uint(min(5+i+1, 15))
 	}
-	return tage.Config{
-		Name: name, TableLogs: logs, TagBits: tags,
-		MinHist: minHist, MaxHist: maxHist,
-	}
+	return tage.Config{Name: name, TableLogs: logs, TagBits: tags, MinHist: minHist, MaxHist: maxHist}
 }
 
-// E10 reproduces Section 6.2: TAGE-LSC robustness to the history series
+// e10 reproduces Section 6.2: TAGE-LSC robustness to the history series
 // and the number of tables. Paper: (6,2000) base 562; (3,300) 575;
 // (4,1000) 563; (8,5000) 563; 9-component (6,1000) 566; 6-component
 // (6,500) 583.
-func E10(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E10", Title: "History series robustness of TAGE-LSC (§6.2)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	type variant struct {
-		label   string
-		paper   string
-		nTagged int
-		min     int
-		max     int
-	}
-	variants := []variant{
-		{"13-comp (6,2000) [base]", "562", 12, 6, 2000},
-		{"13-comp (3,300)", "575", 12, 3, 300},
-		{"13-comp (4,1000)", "563", 12, 4, 1000},
-		{"13-comp (8,5000)", "563", 12, 8, 5000},
-		{"9-comp (6,1000)", "566", 8, 6, 1000},
-		{"6-comp (6,500)", "583", 5, 6, 500},
-	}
+func e10(s *suites) Report {
+	var r Report
 	var baseV float64
 	var worst float64
-	for i, v := range variants {
-		v := v
-		runner := ComposedRunner(func() composed.Config {
-			tcfg := tageConfigFor(v.nTagged, v.min, v.max, v.label)
-			if v.nTagged >= 12 {
-				tcfg = composed.Budget512K()
-				tcfg.MinHist, tcfg.MaxHist = v.min, v.max
-				tcfg.Name = v.label
-			}
-			return composed.TAGELSC(tcfg, v.label)
-		})
-		m := runner(cfg, opts).TotalMPPKI()
+	for i, v := range e10Variants {
+		m := s.get(v.label, predictor.ScenarioA).TotalMPPKI()
 		r.row(v.label+" MPPKI", v.paper, "%.0f", m)
 		if i == 0 {
 			baseV = m
@@ -179,76 +126,19 @@ func E10(cfg Config) Report {
 	return r
 }
 
-// scalableModel adapts a per-deltaLog predictor constructor into a
-// harness model with the Figure 9 budget-scaling hook: the base model is
-// the deltaLog-0 variant, and every variant reports its actual storage
-// budget.
-func scalableModel[C any](name string, mk func(d int) func() predictor.Predictor[C]) harness.Model {
-	scale := func(d int) harness.Model {
-		return harness.Model{
-			StorageBits: mk(d)().StorageBits(),
-			Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-				return sim.RunTrace(mk(d)(), tr, opt)
-			},
-			NewRunner: func() func(tr *trace.Trace, opt sim.Options) sim.Result {
-				p := mk(d)()
-				var rn sim.Runner[C]
-				dirty := false
-				return func(tr *trace.Trace, opt sim.Options) sim.Result {
-					if dirty {
-						p.Reset()
-					}
-					dirty = true
-					return rn.RunTrace(p, tr, opt)
-				}
-			},
-		}
-	}
-	m := scale(0)
-	m.Name = name
-	// The identifier is the canonical model spec for these two (the same
-	// ones `bpbench -models` resolves), so experiment store records are
-	// spec-validated exactly like bpbench's; the harness stamps scaled
-	// variants with the rescaled spec.
-	m.Spec = name
-	m.Scale = scale
-	return m
-}
-
-// ScalableTAGEModel is the reference TAGE as a harness model with the
-// Figure 9 budget-scaling hook; deltaLog 0 is the 512Kbit reference.
-func ScalableTAGEModel() harness.Model {
-	return scalableModel("tage", func(d int) func() predictor.Predictor[tage.Ctx] {
-		return func() predictor.Predictor[tage.Ctx] {
-			return tage.New(tage.Scale(tage.Reference(), d))
-		}
-	})
-}
-
-// ScalableTAGELSCModel is TAGE-LSC as a harness model with the budget
-// hook scaling its TAGE component (the Figure 9 protocol).
-func ScalableTAGELSCModel() harness.Model {
-	return scalableModel("tage-lsc", func(d int) func() predictor.Predictor[composed.Ctx] {
-		return func() predictor.Predictor[composed.Ctx] {
-			return composed.New(composed.TAGELSC(
-				tage.Scale(composed.Budget512K(), d), fmt.Sprintf("TAGE-LSC%+d", d)))
-		}
-	})
-}
-
-// E11 reproduces Figure 9: TAGE vs TAGE-LSC, 128Kbit to 32Mbit, scaling
+// e11 reproduces Figure 9: TAGE vs TAGE-LSC, 128Kbit to 32Mbit, scaling
 // all components by powers of two. Shape targets: TAGE-LSC performs as a
 // 4-8x larger TAGE in the 128-512Kbit range; both curves plateau by
 // 16-32Mbit; CLIENT02's misprediction rate collapses only at multi-Mbit
 // budgets. The whole grid runs as one harness matrix with a DeltaLogs
 // axis — the same sweep `bpbench -models tage,tage-lsc -delta -2:6`
 // performs — instead of a private per-budget loop.
-func E11(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E11", Title: "Figure 9: TAGE vs TAGE-LSC size scaling"}
+func e11(s *suites) Report {
+	cfg := s.cfg
+	var r Report
 	deltas := []int{-2, -1, 0, 1, 2, 3, 4, 5, 6} // 128Kb .. 32Mb
 	m := &harness.Matrix{
-		Models:    []harness.Model{ScalableTAGEModel(), ScalableTAGELSCModel()},
+		Models:    []harness.Model{paperModels()["tage"], paperModels()["tage-lsc"]},
 		Traces:    workload.All(),
 		Scenarios: []predictor.Scenario{predictor.ScenarioA},
 		Lengths:   []int{cfg.BranchesPerTrace},
@@ -327,34 +217,28 @@ func figure9Paper(d int, isLSC bool) string {
 	return tage[d]
 }
 
-// E12 reproduces Figure 10 and Section 6.3: ISL-TAGE and TAGE-LSC against
+// e12 reproduces Figure 10 and Section 6.3: ISL-TAGE and TAGE-LSC against
 // the neural-based FTL++ and OH-SNAP. Paper: on the 33 most predictable
 // traces ISL 196, LSC 198, FTL++ 232, OH-SNAP 254; on the 7 hardest ISL
 // 2311, LSC 2287, OH-SNAP 2227, FTL++ 2222 — the neural predictors win on
 // the hard subset, lose clearly on the easy one.
-func E12(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E12", Title: "Figure 10: TAGE family vs neural predictors"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	runners := []struct {
+func e12(s *suites) Report {
+	var r Report
+	entries := []struct {
 		name      string
-		runner    SuiteRunner
+		model     string
 		paperEasy string
 		paperHard string
 	}{
-		{"ISL-TAGE", islRunner(), "196", "2311"},
-		{"TAGE-LSC", tageLSCRunner(), "198", "2287"},
-		{"OH-SNAP", MakeRunner(func() predictor.Predictor[neural.Ctx] {
-			return neural.New(neural.Config{})
-		}), "254", "2227"},
-		{"FTL++", MakeRunner(func() predictor.Predictor[ftlpp.Ctx] {
-			return ftlpp.New(ftlpp.Config{})
-		}), "232", "2222"},
+		{"ISL-TAGE", "isl-tage", "196", "2311"},
+		{"TAGE-LSC", "tage-lsc", "198", "2287"},
+		{"OH-SNAP", "ohsnap", "254", "2227"},
+		{"FTL++", "ftlpp", "232", "2222"},
 	}
 	easy := map[string]float64{}
 	hard := map[string]float64{}
-	for _, e := range runners {
-		suite := e.runner(cfg, opts)
+	for _, e := range entries {
+		suite := s.get(e.model, predictor.ScenarioA)
 		h := suite.Subset(workload.HardNames)
 		easyNames := map[string]bool{}
 		for _, res := range suite.Results {

@@ -2,33 +2,19 @@ package experiments
 
 import (
 	"repro/internal/cactimodel"
-	"repro/internal/composed"
 	"repro/internal/predictor"
 	"repro/internal/workload"
 )
 
-func tageLSCInterleavedRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		tcfg := composed.Budget512K()
-		tcfg.Interleaved = true
-		c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
-		c.LSC.Interleaved = true
-		return c
-	})
-}
-
-// E13 reproduces Section 7.1: the 512Kbit TAGE-LSC with 4-way interleaved
+// e13 reproduces Section 7.1: the 512Kbit TAGE-LSC with 4-way interleaved
 // single-ported tables (both global and local components). Paper: 569
 // MPPKI vs 562 flat — a loss of a few MPPKI (3 local training + 2 TAGE
 // interleaving + 2 size trimming) — and CACTI ratios of ~3.3x area and
 // ~2x power.
-func E13(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E13", Title: "Interleaved TAGE-LSC (§7.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	flat := tageLSCRunner()(cfg, opts)
-	inter := tageLSCInterleavedRunner()(cfg, opts)
-	f, i := flat.TotalMPPKI(), inter.TotalMPPKI()
+func e13(s *suites) Report {
+	var r Report
+	f := s.get("tage-lsc", predictor.ScenarioA).TotalMPPKI()
+	i := s.get("tage-lsc-banked", predictor.ScenarioA).TotalMPPKI()
 	r.row("TAGE-LSC flat MPPKI", "562", "%.0f", f)
 	r.row("TAGE-LSC interleaved MPPKI", "569", "%.0f", i)
 	r.row("interleaving cost", "+1.2%", "%s", pct(i-f, f))
@@ -40,18 +26,16 @@ func E13(cfg Config) Report {
 	return r
 }
 
-// E14 reproduces Section 7.2: eliminating the retire-time read on correct
+// e14 reproduces Section 7.2: eliminating the retire-time read on correct
 // predictions (scenario [C]) on the interleaved TAGE-LSC costs a few
 // MPPKI (paper: 575, +2 on the TAGE side and +4 on the local side), while
 // eliminating it completely (scenario [B]) costs much more (paper: 599,
 // "not recommended").
-func E14(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E14", Title: "Eliminating retire reads on TAGE-LSC (§7.2)"}
-	runner := tageLSCInterleavedRunner()
-	a := runner(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMPPKI()
-	c := runner(cfg, cfg.simOptions(predictor.ScenarioC)).TotalMPPKI()
-	b := runner(cfg, cfg.simOptions(predictor.ScenarioB)).TotalMPPKI()
+func e14(s *suites) Report {
+	var r Report
+	a := s.get("tage-lsc-banked", predictor.ScenarioA).TotalMPPKI()
+	c := s.get("tage-lsc-banked", predictor.ScenarioC).TotalMPPKI()
+	b := s.get("tage-lsc-banked", predictor.ScenarioB).TotalMPPKI()
 	r.row("interleaved TAGE-LSC [A] MPPKI", "569", "%.0f", a)
 	r.row("interleaved TAGE-LSC [C] MPPKI", "575", "%.0f", c)
 	r.row("interleaved TAGE-LSC [B] MPPKI", "599", "%.0f", b)
@@ -62,14 +46,13 @@ func E14(cfg Config) Report {
 	return r
 }
 
-// E15 reproduces the Section 2.2 benchmark-set characterisation: the 7
+// e15 reproduces the Section 2.2 benchmark-set characterisation: the 7
 // hard traces carry the large majority of the suite's mispredictions on
 // the reference predictor, each with a far higher misprediction rate than
 // any of the other 33.
-func E15(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	r := Report{ID: "E15", Title: "Benchmark set characterisation (§2.2)"}
-	suite := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
+func e15(s *suites) Report {
+	var r Report
+	suite := s.get("tage+ium+loop", predictor.ScenarioA)
 	var hardMisp, totalMisp uint64
 	var worstEasy, bestHard float64
 	bestHard = 1e18

@@ -1,15 +1,17 @@
-// Package harness is the batch-experiment engine behind cmd/bpbench and
-// the experiments package: a declarative matrix (models × traces ×
-// scenarios × trace lengths, with include/exclude filters) is expanded
-// into jobs and executed by a local worker pool — one pooled,
-// Reset-reused predictor per (worker, model), every cell a cold run over
-// the whole trace — with per-job deterministic seeding and panic
-// isolation, streaming one Record per
-// cell — plus per-category, hard-subset and suite-level aggregates — to
-// pluggable sinks (human table, JSONL, CSV). A JSONL run can later serve
-// as the baseline for Diff, which flags per-cell and aggregate
-// regressions beyond a tolerance, making the harness usable as a CI
-// gate.
+// Package harness is the one executor behind cmd/bpbench, cmd/bpsim
+// and the experiments package (cmd/bptables). A declarative matrix
+// (models × traces × scenarios × trace lengths, with include/exclude
+// filters) is expanded into jobs and executed by a local worker pool —
+// one pooled, Reset-reused predictor per (worker, model), one shared
+// trace cache, every cell a cold run over the whole trace — with
+// per-job deterministic seeding and panic isolation. RunJobs streams one
+// Record per cell, plus per-category, hard-subset and suite-level
+// aggregates, to pluggable sinks (human table, JSONL, CSV); Simulate
+// returns the same cells' full simulator results, for callers that
+// report the memory-access statistics a Record does not carry. A JSONL
+// run can later serve as the baseline for Diff, which flags per-cell and
+// aggregate regressions beyond a tolerance, making the harness usable as
+// a CI gate.
 //
 // The paper's case for TAGE rests on sweeping exactly this kind of
 // evaluation grid — predictors × 40 traces × update-timing scenarii ×
@@ -23,28 +25,12 @@ import (
 	"sync"
 )
 
-// Map runs fn for every index in [0, n) with at most workers concurrent
-// goroutines and returns the results in index order. If any invocation
-// panics, the first panic value is re-raised in the caller after all
-// workers have drained (no goroutine leak, no partial-result use). It is
-// the pool primitive shared by the matrix runner and the experiments
-// package's suite sweeps.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	results := make([]T, n)
-	ForEach(n, workers, func(i int) { results[i] = fn(i) })
-	return results
-}
-
-// ForEach is Map without result collection: fn is invoked for every
-// index in [0, n) with bounded parallelism; the first panic is re-raised
-// after the pool drains.
-func ForEach(n, workers int, fn func(i int)) {
-	forEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// forEachWorker is ForEach with the worker's index passed to fn —
-// the hook per-worker telemetry (jobs in flight per worker) needs,
-// without widening the public pool API.
+// forEachWorker invokes fn for every index in [0, n) on at most workers
+// goroutines (workers <= 0 means one per index), passing the worker's
+// own index so per-worker state (runner arenas, in-flight gauges) needs
+// no locking. If any invocation panics, the first panic value is
+// re-raised in the caller after all workers have drained: no goroutine
+// leak, no partial-result use.
 func forEachWorker(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

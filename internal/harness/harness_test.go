@@ -14,11 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
-func TestMapOrderedAndBounded(t *testing.T) {
+func TestForEachWorkerOrderedAndBounded(t *testing.T) {
 	const n, workers = 100, 4
 	var cur, max int64
 	var mu sync.Mutex
-	out := Map(n, workers, func(i int) int {
+	out := make([]int, n)
+	var calls [n]atomic.Int64
+	forEachWorker(n, workers, func(w, i int) {
+		if w < 0 || w >= workers {
+			t.Errorf("worker index %d outside [0, %d)", w, workers)
+		}
 		c := atomic.AddInt64(&cur, 1)
 		mu.Lock()
 		if c > max {
@@ -26,14 +31,12 @@ func TestMapOrderedAndBounded(t *testing.T) {
 		}
 		mu.Unlock()
 		defer atomic.AddInt64(&cur, -1)
-		return i * i
+		calls[i].Add(1)
+		out[i] = i * i
 	})
-	if len(out) != n {
-		t.Fatalf("got %d results, want %d", len(out), n)
-	}
 	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		if v != i*i || calls[i].Load() != 1 {
+			t.Fatalf("index %d: out %d after %d calls, want %d after 1", i, v, calls[i].Load(), i*i)
 		}
 	}
 	if max > workers {
@@ -41,15 +44,16 @@ func TestMapOrderedAndBounded(t *testing.T) {
 	}
 }
 
-func TestMapZeroAndNegativeWorkers(t *testing.T) {
+func TestForEachWorkerZeroAndNegativeWorkers(t *testing.T) {
 	// workers<=0 means "as many as items": must still complete correctly.
-	out := Map(5, 0, func(i int) int { return i })
-	if !reflect.DeepEqual(out, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("out = %v", out)
+	for _, workers := range []int{0, -3} {
+		out := make([]int, 5)
+		forEachWorker(5, workers, func(_, i int) { out[i] = i })
+		if !reflect.DeepEqual(out, []int{0, 1, 2, 3, 4}) {
+			t.Fatalf("workers=%d: out = %v", workers, out)
+		}
 	}
-	if got := Map(0, 3, func(i int) int { return i }); len(got) != 0 {
-		t.Fatalf("n=0 returned %v", got)
-	}
+	forEachWorker(0, 3, func(_, i int) { t.Fatalf("n=0 invoked fn(%d)", i) })
 }
 
 func TestForEachPanicPropagates(t *testing.T) {
@@ -62,7 +66,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	ForEach(10, 3, func(i int) {
+	forEachWorker(10, 3, func(_, i int) {
 		if i == 7 {
 			panic("boom 7")
 		}
@@ -196,6 +200,21 @@ func TestMatrixExpandEmptyAxis(t *testing.T) {
 	m := &Matrix{}
 	if _, err := m.Expand(); err == nil {
 		t.Fatal("empty matrix must error")
+	}
+}
+
+// TestMatrixExpandRejectsDuplicateModelNames: two models sharing a name
+// would share cell keys and, without a spec, one pooled runner slot per
+// worker, so the second would silently run on the first's predictor.
+func TestMatrixExpandRejectsDuplicateModelNames(t *testing.T) {
+	m := testMatrix(t, []Model{fakeModel("m", flat(1)), fakeModel("m", flat(2))}, []string{"INT01"},
+		[]predictor.Scenario{predictor.ScenarioA}, []int{100})
+	if _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), `duplicate model name "m"`) {
+		t.Fatalf("duplicate model names must fail expansion, got err=%v", err)
+	}
+	m.Models[1].Name = "m2"
+	if _, err := m.Expand(); err != nil {
+		t.Fatalf("distinct names: %v", err)
 	}
 }
 

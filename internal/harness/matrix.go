@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 
 	"repro/internal/bitutil"
@@ -168,6 +167,16 @@ func (m *Matrix) Expand() ([]Job, error) {
 	if len(m.Models) == 0 {
 		return nil, fmt.Errorf("harness: matrix has no models")
 	}
+	names := make(map[string]bool, len(m.Models))
+	for _, mdl := range m.Models {
+		if names[mdl.Name] {
+			// Cell keys, and the runner arena slot of a model built
+			// without a spec, are its name: a second model of the same
+			// name would silently run on the first one's predictor.
+			return nil, fmt.Errorf("harness: duplicate model name %q in matrix (cell keys would collide)", mdl.Name)
+		}
+		names[mdl.Name] = true
+	}
 	if len(m.Traces) == 0 {
 		return nil, fmt.Errorf("harness: matrix has no traces")
 	}
@@ -301,10 +310,4 @@ func ParseScenarios(csv string) ([]predictor.Scenario, error) {
 		return nil, fmt.Errorf("harness: empty scenario list")
 	}
 	return out, nil
-}
-
-// SortModels orders models by name for stable matrix construction when
-// the caller assembled them from an unordered source (a map).
-func SortModels(ms []Model) {
-	sort.Slice(ms, func(a, b int) bool { return ms[a].Name < ms[b].Name })
 }

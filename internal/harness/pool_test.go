@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // pooledGshare is a real predictor with both run paths wired: Run
@@ -109,5 +111,60 @@ func TestNoPredictorPoolReportsNoPoolTraffic(t *testing.T) {
 	s := reg.Snapshot()
 	if h, ms := s.Value(MetricPredictorPoolHits), s.Value(MetricPredictorPoolMisses); h != 0 || ms != 0 {
 		t.Fatalf("pool traffic without NewRunner: hits=%v misses=%v", h, ms)
+	}
+}
+
+// TestSimulateMatchesRunJobsAndFreshRuns: Simulate feeds the same pool,
+// trace cache and pooled runners as RunJobs, so its full results agree
+// with RunJobs' records and with fresh single-trace runs, in job order,
+// at any parallelism; a panicking cell fails the call and names the
+// cell.
+func TestSimulateMatchesRunJobsAndFreshRuns(t *testing.T) {
+	traces := []string{"INT01", "MM05", "WS01"}
+	m := testMatrix(t, []Model{pooledGshare(nil)}, traces,
+		[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB}, []int{700})
+	jobs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := RunJobs(jobs, Config{Parallelism: 2, NoAggregates: true}, Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 3} {
+		results, err := Simulate(jobs, Config{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(jobs) {
+			t.Fatalf("parallelism %d: %d results for %d jobs", par, len(results), len(jobs))
+		}
+		for i, res := range results {
+			j := jobs[i]
+			fresh := sim.RunTrace(gshare.New(12), workload.Generate(j.Spec, j.Branches), j.Opts)
+			res.Elapsed, res.BranchesPerSec = 0, 0
+			fresh.Elapsed, fresh.BranchesPerSec = 0, 0
+			if !reflect.DeepEqual(res, fresh) {
+				t.Fatalf("parallelism %d, %s: pooled result differs from a fresh run\n%+v\n%+v", par, j.Key(), res, fresh)
+			}
+			rec := sum.Records[i]
+			if rec.Trace != res.Trace || rec.Mispredicts != res.Mispredicts || rec.MPPKI != res.MPPKI {
+				t.Fatalf("parallelism %d, %s: record %+v disagrees with result %+v", par, j.Key(), rec, res)
+			}
+		}
+	}
+
+	bad := Model{Name: "bad", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+		if tr.Name == "MM05" {
+			panic("boom")
+		}
+		return sim.Result{Trace: tr.Name}
+	}}
+	jobs, err = testMatrix(t, []Model{bad}, traces, []predictor.Scenario{predictor.ScenarioA}, []int{50}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(jobs, Config{Parallelism: 2}); err == nil || !strings.Contains(err.Error(), "bad/MM05/A/50") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking cell must fail Simulate naming the cell, got %v", err)
 	}
 }

@@ -174,20 +174,58 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 	return fn
 }
 
-// executeJobs runs the job list on the worker pool, invoking visit for
-// every record in job order as results complete (a reorder buffer
-// decouples worker completion order from visit order, so streaming
-// starts with the first finished cell), and returns all records. Each
-// worker keeps its own runner arena, and every cell simulates the whole
-// trace from a cold (Reset or freshly built) predictor, so the records
-// do not depend on the schedule.
+// executeJobs runs the job list through execute as records: a panicking
+// cell becomes a failed record, and every record carries
+// cfg.Provenance when it is set.
 func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []Record {
+	return execute(jobs, cfg, rm, func(_ int, j Job, res sim.Result, err error) Record {
+		rec := cellRecord(j, res)
+		if err != nil {
+			rec = failedRecord(j, err)
+		}
+		if cfg.Provenance != nil {
+			rec.Provenance = cfg.Provenance
+		}
+		return rec
+	}, visit)
+}
+
+// Simulate executes an already-expanded job list on the same worker
+// pool, trace cache and pooled runners as RunJobs, and returns every
+// cell's full simulator result in job order: the memory-access and
+// silent-update statistics a Record does not carry. A cell that panics
+// fails the call with the first such error in job order.
+func Simulate(jobs []Job, cfg Config) ([]sim.Result, error) {
+	rm := newRunMetrics(cfg.Metrics)
+	rm.beginRun(len(jobs), 0)
+	errs := make([]error, len(jobs))
+	results := execute(jobs, cfg, rm, func(i int, _ Job, res sim.Result, err error) sim.Result {
+		errs[i] = err
+		return res
+	}, nil)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: cell %s: %w", jobs[i].Key(), err)
+		}
+	}
+	return results, nil
+}
+
+// execute runs the job list on the worker pool, converting each cell's
+// outcome (with its position in jobs) through out and invoking visit (when non-nil) on every output in
+// job order as results complete (a reorder buffer decouples worker
+// completion order from visit order, so streaming starts with the first
+// finished cell); it returns all outputs. Each worker keeps its own
+// runner arena, and every cell simulates the whole trace from a cold
+// (Reset or freshly built) predictor, so the outputs do not depend on
+// the schedule.
+func execute[T any](jobs []Job, cfg Config, rm *runMetrics, out func(i int, j Job, res sim.Result, err error) T, visit func(T)) []T {
 	cache := &traceCache{m: make(map[string]*traceEntry)}
 	if rm != nil {
 		cache.hits, cache.misses = rm.cacheHits, rm.cacheMisses
 		rm.poolStart = time.Now()
 	}
-	results := make([]Record, len(jobs))
+	results := make([]T, len(jobs))
 	done := make([]chan struct{}, len(jobs))
 	for i := range done {
 		done[i] = make(chan struct{})
@@ -208,7 +246,7 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 		j.Opts.Metrics = cfg.Metrics
 		run := arena.runner(j.Model)
 		jobDone := rm.jobBegin(w)
-		var res Record
+		var res sim.Result
 		err := Protect(func() {
 			var tr *trace.Trace
 			if cfg.NoTraceCache {
@@ -216,21 +254,17 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 			} else {
 				tr = cache.get(j.Spec, j.Branches)
 			}
-			res = cellRecord(j, run(tr, j.Opts))
+			res = run(tr, j.Opts)
 		})
-		if err != nil {
-			res = failedRecord(j, err)
-		}
-		jobDone(res.Failed())
-		if cfg.Provenance != nil {
-			res.Provenance = cfg.Provenance
-		}
-		results[i] = res
+		jobDone(err != nil)
+		results[i] = out(i, j, res, err)
 	})
 
 	for i := range jobs {
 		<-done[i]
-		visit(results[i])
+		if visit != nil {
+			visit(results[i])
+		}
 	}
 	return results
 }

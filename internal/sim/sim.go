@@ -402,15 +402,6 @@ func (s *Suite) TotalMPKI() float64 {
 	return t
 }
 
-// TotalMispredictions sums raw misprediction counts.
-func (s *Suite) TotalMispredictions() uint64 {
-	var t uint64
-	for _, r := range s.Results {
-		t += r.Mispredicts
-	}
-	return t
-}
-
 // AccessTotals sums access statistics across traces.
 func (s *Suite) AccessTotals() memarray.Stats {
 	var t memarray.Stats
@@ -418,15 +409,6 @@ func (s *Suite) AccessTotals() memarray.Stats {
 		t.Add(r.Access)
 	}
 	return t
-}
-
-// ByCategory returns summed MPPKI per benchmark category.
-func (s *Suite) ByCategory() map[string]float64 {
-	m := make(map[string]float64)
-	for _, r := range s.Results {
-		m[r.Category] += r.MPPKI
-	}
-	return m
 }
 
 // Subset returns a suite restricted to the named traces.

@@ -55,29 +55,6 @@ func MustGenerateTrace(spec string, branches int) *Trace {
 	return tr
 }
 
-// RunSuite simulates the model over each listed workload (names or
-// trace specs) at `branches` branches, serially on one pooled instance:
-// the predictor is Reset between traces, so every trace starts cold and
-// each Result is byte-identical to a GenerateTrace + Run loop on fresh
-// instances. Results come back in input order. All specs are resolved
-// up front, so a typo fails before any simulation.
-func (m *Model) RunSuite(names []string, branches int, opt Options) ([]Result, error) {
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.ResolveSpec(n)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = sp
-	}
-	results := make([]Result, len(names))
-	run := m.NewRunner()
-	for i, sp := range specs {
-		results[i] = run(workload.Generate(sp, branches), opt)
-	}
-	return results, nil
-}
-
 // WorkloadKinds lists the parameterised workload generator kinds the
 // trace-spec grammar accepts (loopy, callret, datadep, phased,
 // ctxflush, mix).
@@ -147,11 +124,9 @@ func ExperimentIDs() []string {
 // RunExperiment executes one experiment (see ExperimentIDs) and returns
 // its report. ok is false for an unknown id.
 func RunExperiment(id string, cfg ExperimentConfig) (ExperimentReport, bool) {
-	e, found := experiments.Lookup(id)
-	if !found {
-		return ExperimentReport{}, false
-	}
-	return e.Run(cfg), true
+	var rep ExperimentReport
+	err := experiments.Run([]string{id}, cfg, func(r ExperimentReport) { rep = r })
+	return rep, err == nil
 }
 
 // RenderReport writes a report as aligned text.
