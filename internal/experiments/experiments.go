@@ -196,10 +196,10 @@ func (s *suites) run(models []string, scs []predictor.Scenario) error {
 				continue
 			}
 			todo = append(todo, cell{m, sc})
+			mdl := paperModels()[m]
 			opts := sim.Options{Scenario: sc, Window: s.cfg.Window, ExecDelay: s.cfg.ExecDelay}
 			for _, spec := range specs {
-				jobs = append(jobs, harness.Job{Model: paperModels()[m], Spec: spec,
-					Scenario: sc, Branches: s.cfg.BranchesPerTrace, Opts: opts})
+				jobs = append(jobs, harness.Job{Model: mdl, Spec: spec, Scenario: sc, Branches: s.cfg.BranchesPerTrace, Opts: opts})
 			}
 		}
 	}

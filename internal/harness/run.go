@@ -212,13 +212,13 @@ func Simulate(jobs []Job, cfg Config) ([]sim.Result, error) {
 }
 
 // execute runs the job list on the worker pool, converting each cell's
-// outcome (with its position in jobs) through out and invoking visit (when non-nil) on every output in
-// job order as results complete (a reorder buffer decouples worker
-// completion order from visit order, so streaming starts with the first
-// finished cell); it returns all outputs. Each worker keeps its own
-// runner arena, and every cell simulates the whole trace from a cold
-// (Reset or freshly built) predictor, so the outputs do not depend on
-// the schedule.
+// outcome (with its position in jobs) through out, and invokes visit,
+// when non-nil, on every output in job order as results complete (a
+// reorder buffer decouples worker completion order from visit order, so
+// streaming starts with the first finished cell); it returns all
+// outputs. Each worker keeps its own runner arena, and every cell
+// simulates the whole trace from a cold (Reset or freshly built)
+// predictor, so the outputs do not depend on the schedule.
 func execute[T any](jobs []Job, cfg Config, rm *runMetrics, out func(i int, j Job, res sim.Result, err error) T, visit func(T)) []T {
 	cache := &traceCache{m: make(map[string]*traceEntry)}
 	if rm != nil {
