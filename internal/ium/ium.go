@@ -16,29 +16,42 @@
 // saturated counters outcome-replay would spuriously invert confident
 // predictions on noisy branches. The counter formulation is what
 // "mimicking the immediate update" computes.
+//
+// The buffer capacity is modelled hardware: with more branches in flight
+// than it holds, the oldest record is evicted, and a record evicted under
+// overflow is not popped again when its branch retires.
 package ium
 
-import "repro/internal/bitutil"
+import (
+	"repro/internal/bitutil"
+	"repro/internal/inflight"
+)
 
-// Entry is one in-flight branch record: the identity of the predictor
+// entry is one in-flight branch record: the identity of the predictor
 // entry that provided the prediction (P/T/A in Figure 4) and the provider
 // counter as it would read after an immediate update.
-type Entry struct {
-	Table  int    // provider component (0 = base predictor)
-	Index  uint32 // index within the provider component
-	Ctr    int32  // speculative provider counter after this branch executes
-	seq    uint64 // fetch sequence number
-	forced bool   // marked executed early (pipeline drain)
+type entry struct {
+	key uint64 // provider component << 32 | index within it
+	ctr int32  // speculative provider counter after this branch executes
 }
 
-// Buffer is the IUM storage: a circular buffer with one entry per in-flight
-// branch, searched associatively from youngest to oldest.
+// keyOf packs a provider component (0 = base predictor) and an index
+// within it, so a search compares one word per record.
+func keyOf(table int, index uint32) uint64 { return uint64(table)<<32 | uint64(index) }
+
+// Buffer is the IUM storage: one entry per in-flight branch, searched
+// associatively from youngest to oldest. Every fetched branch pushes
+// exactly one entry, so the live entries are the last Len() fetches and an
+// entry's fetch sequence number follows from its position; the buffer
+// keeps only the fetch counter and the drain watermark.
 type Buffer struct {
-	ring      []Entry
-	head      int // oldest entry
-	count     int
-	seq       uint64 // fetch sequence counter
-	execDelay uint64 // fetch-to-execute distance in branches
+	fifo    inflight.FIFO[entry]
+	seq     uint64 // fetch sequence counter
+	drained uint64 // entries fetched before this sequence number have executed
+	// pending is how many of the youngest fetches have not executed by
+	// delay alone: an entry pushed at sequence s executes once seq >= s +
+	// execDelay, which leaves the execDelay-1 youngest pending.
+	pending uint64
 
 	// Lookups/Hits instrument how often the IUM overrides the prediction.
 	Lookups uint64
@@ -49,19 +62,14 @@ type Buffer struct {
 // given fetch-to-execute delay (in branches). An entry only becomes usable
 // for prediction override once its branch has executed.
 func New(capacity int, execDelay int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Buffer{ring: make([]Entry, capacity), execDelay: uint64(execDelay)}
+	return &Buffer{fifo: inflight.New[entry](capacity), pending: uint64(max(execDelay-1, 0))}
 }
 
 // Reset empties the buffer and rewinds the fetch sequence and hit
 // accounting to the construction state, reusing the ring storage.
 func (b *Buffer) Reset() {
-	for i := range b.ring {
-		b.ring[i] = Entry{}
-	}
-	b.head, b.count, b.seq = 0, 0, 0
+	b.fifo.Reset()
+	b.seq, b.drained = 0, 0
 	b.Lookups, b.Hits = 0, 0
 }
 
@@ -69,20 +77,14 @@ func (b *Buffer) Reset() {
 // (eventual) execution-time update. If the buffer is full the oldest entry
 // is dropped.
 func (b *Buffer) Push(table int, index uint32, ctr int32) {
-	if b.count == len(b.ring) {
-		b.head = (b.head + 1) % len(b.ring)
-		b.count--
-	}
-	pos := (b.head + b.count) % len(b.ring)
-	b.ring[pos] = Entry{Table: table, Index: index, Ctr: ctr, seq: b.seq}
-	b.count++
+	b.fifo.Push(entry{key: keyOf(table, index), ctr: ctr})
 	b.seq++
 }
 
-// executed reports whether the entry's branch has executed: either enough
-// younger branches have been fetched, or a pipeline drain marked it.
-func (b *Buffer) executed(e *Entry) bool {
-	return e.forced || b.seq >= e.seq+b.execDelay
+// unexecuted returns how many of the youngest entries have not executed:
+// those still within the execute delay, unless a later drain covered them.
+func (b *Buffer) unexecuted() int {
+	return int(min(b.pending, b.seq-b.drained, uint64(b.fifo.Len())))
 }
 
 // Lookup searches, youngest first, for an executed in-flight branch whose
@@ -92,11 +94,11 @@ func (b *Buffer) executed(e *Entry) bool {
 // instead of TAGE").
 func (b *Buffer) Lookup(table int, index uint32) (ctr int32, ok bool) {
 	b.Lookups++
-	for i := b.count - 1; i >= 0; i-- {
-		e := &b.ring[(b.head+i)%len(b.ring)]
-		if e.Table == table && e.Index == index && b.executed(e) {
+	k, live := keyOf(table, index), b.fifo.Live()
+	for i := len(live) - 1 - b.unexecuted(); i >= 0; i-- {
+		if live[i].key == k {
 			b.Hits++
-			return e.Ctr, true
+			return live[i].ctr, true
 		}
 	}
 	return 0, false
@@ -105,10 +107,10 @@ func (b *Buffer) Lookup(table int, index uint32) (ctr int32, ok bool) {
 // LookupAny is like Lookup but also matches entries that have not yet
 // executed (used by tests to inspect buffer contents).
 func (b *Buffer) LookupAny(table int, index uint32) (ctr int32, ok bool) {
-	for i := b.count - 1; i >= 0; i-- {
-		e := &b.ring[(b.head+i)%len(b.ring)]
-		if e.Table == table && e.Index == index {
-			return e.Ctr, true
+	k, live := keyOf(table, index), b.fifo.Live()
+	for i := len(live) - 1; i >= 0; i-- {
+		if live[i].key == k {
+			return live[i].ctr, true
 		}
 	}
 	return 0, false
@@ -117,25 +119,16 @@ func (b *Buffer) LookupAny(table int, index uint32) (ctr int32, ok bool) {
 // OnMispredict models the pipeline drain that follows a misprediction: by
 // the time fetch resumes on the corrected path, the in-flight branches
 // have executed, so their counters become visible to lookups immediately.
-func (b *Buffer) OnMispredict() {
-	for i := 0; i < b.count; i++ {
-		b.ring[(b.head+i)%len(b.ring)].forced = true
-	}
-}
+// Entries leave in fetch order, so a watermark marks them all at once.
+func (b *Buffer) OnMispredict() { b.drained = b.seq }
 
 // PopOldest removes the oldest in-flight entry (called when the branch
 // retires; the predictor tables now hold its update so the IUM record is
 // no longer needed).
-func (b *Buffer) PopOldest() {
-	if b.count == 0 {
-		return
-	}
-	b.head = (b.head + 1) % len(b.ring)
-	b.count--
-}
+func (b *Buffer) PopOldest() { b.fifo.Retire() }
 
 // Len returns the number of in-flight entries.
-func (b *Buffer) Len() int { return b.count }
+func (b *Buffer) Len() int { return b.fifo.Len() }
 
 // HitRate returns the fraction of lookups served by the IUM.
 func (b *Buffer) HitRate() float64 {

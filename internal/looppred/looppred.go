@@ -10,17 +10,22 @@
 // entry holding a past iteration count (10 bits), a retire (current)
 // iteration count (10 bits), a partial tag (10 bits), a confidence counter
 // (3 bits), an age counter (3 bits) and one direction bit — 37 bits/entry.
+//
+// The SLIM capacity is modelled hardware: with more loop instances in
+// flight than it holds, the oldest record is evicted, and a record evicted
+// under overflow is not popped again when its branch retires.
 package looppred
 
 import (
 	"repro/internal/bitutil"
+	"repro/internal/inflight"
 	"repro/internal/memarray"
 )
 
 // Config parameterises the loop predictor.
 type Config struct {
 	Entries  int  // total entries (default 64)
-	Ways     int  // associativity (default 4, skewed)
+	Ways     int  // associativity (default 4, skewed); Entries/Ways must be a power of two
 	TagBits  uint // partial tag width (default 10)
 	IterBits uint // iteration counter width (default 10)
 	ConfMax  uint8
@@ -70,13 +75,11 @@ type slimEntry struct {
 
 // Predictor is the loop predictor plus SLIM.
 type Predictor struct {
-	cfg   Config
-	sets  [][]entry // [nsets][ways]
-	nsets int
+	cfg     Config
+	sets    [][]entry // [nsets][ways]
+	setMask uint64    // nsets - 1 (nsets is a power of two)
 
-	slim     []slimEntry
-	slimHead int
-	slimLen  int
+	slim inflight.FIFO[slimEntry]
 
 	stats *memarray.Stats
 
@@ -94,12 +97,15 @@ func New(cfg Config, stats *memarray.Stats) *Predictor {
 		stats = &memarray.Stats{}
 	}
 	nsets := cfg.Entries / cfg.Ways
+	if nsets < 1 || nsets&(nsets-1) != 0 {
+		panic("looppred: Entries/Ways must be a power of two")
+	}
 	p := &Predictor{
-		cfg:   cfg,
-		nsets: nsets,
-		sets:  make([][]entry, nsets),
-		slim:  make([]slimEntry, cfg.SlimCap),
-		stats: stats,
+		cfg:     cfg,
+		setMask: uint64(nsets - 1),
+		sets:    make([][]entry, nsets),
+		slim:    inflight.New[slimEntry](cfg.SlimCap),
+		stats:   stats,
 	}
 	for i := range p.sets {
 		p.sets[i] = make([]entry, cfg.Ways)
@@ -116,10 +122,7 @@ func (p *Predictor) Reset() {
 			set[i] = entry{}
 		}
 	}
-	for i := range p.slim {
-		p.slim[i] = slimEntry{}
-	}
-	p.slimHead, p.slimLen = 0, 0
+	p.slim.Reset()
 	p.Overrides, p.Useful = 0, 0
 }
 
@@ -133,7 +136,7 @@ func (p *Predictor) StorageBits() int {
 // setIndex returns the skewed set index for a way.
 func (p *Predictor) setIndex(pc uint64, way int) int {
 	h := bitutil.Mix64(pc>>2 ^ uint64(way)*0x9e3779b97f4a7c15)
-	return int(h % uint64(p.nsets))
+	return int(h & p.setMask)
 }
 
 func (p *Predictor) tagOf(pc uint64) uint16 {
@@ -192,9 +195,9 @@ func (p *Predictor) Predict(pc uint64, ctx *Ctx) {
 
 // slimLookup finds the youngest in-flight instance for key.
 func (p *Predictor) slimLookup(key uint32) (uint16, bool) {
-	for i := p.slimLen - 1; i >= 0; i-- {
-		e := &p.slim[(p.slimHead+i)%len(p.slim)]
-		if e.key == key {
+	live := p.slim.Live()
+	for i := len(live) - 1; i >= 0; i-- {
+		if e := &live[i]; e.key == key {
 			return e.iter, true
 		}
 	}
@@ -218,13 +221,7 @@ func (p *Predictor) OnResolve(pc uint64, taken bool, ctx *Ctx) {
 	} else {
 		next = 0
 	}
-	if p.slimLen == len(p.slim) {
-		p.slimHead = (p.slimHead + 1) % len(p.slim)
-		p.slimLen--
-	}
-	pos := (p.slimHead + p.slimLen) % len(p.slim)
-	p.slim[pos] = slimEntry{key: p.slimKey(pc), iter: next}
-	p.slimLen++
+	p.slim.Push(slimEntry{key: p.slimKey(pc), iter: next})
 	ctx.PushedSlim = true
 }
 
@@ -235,8 +232,7 @@ func (p *Predictor) OnResolve(pc uint64, taken bool, ctx *Ctx) {
 // and the prediction would have been incorrect otherwise").
 func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, usefulHint bool) {
 	if ctx.PushedSlim {
-		p.slimHead = (p.slimHead + 1) % len(p.slim)
-		p.slimLen--
+		p.slim.Retire()
 	}
 	if !ctx.Hit {
 		return
@@ -278,6 +274,9 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, usefulHint bool) {
 	}
 	e.current = 0
 }
+
+// InFlight returns the number of live SLIM records.
+func (p *Predictor) InFlight() int { return p.slim.Len() }
 
 // Allocate installs an entry for a mispredicted branch: the candidate ways
 // are inspected; a way with age 0 is replaced (age reset to max), other

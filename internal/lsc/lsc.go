@@ -7,12 +7,17 @@
 // table, a Speculative Local History Manager (Figure 8) tracking in-flight
 // instances, and an LGEHL adder tree of 5 tables of 1K 6-bit entries with
 // local history lengths (0, 4, 10, 17, 31) — about 30 Kbits.
+//
+// The SLHM capacity is modelled hardware: with more instances in flight
+// than it holds, the oldest record is evicted, and a record evicted under
+// overflow is not popped again when its branch retires.
 package lsc
 
 import (
 	"repro/internal/bitutil"
 	"repro/internal/gehl"
 	"repro/internal/histories"
+	"repro/internal/inflight"
 	"repro/internal/memarray"
 )
 
@@ -67,9 +72,7 @@ type Corrector struct {
 	lht   *histories.Local
 	width uint
 
-	slhm     []slhmEntry
-	slhmHead int
-	slhmLen  int
+	slhm inflight.FIFO[slhmEntry]
 
 	banks *memarray.BankTracker
 
@@ -114,7 +117,7 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 		}, cfg.Lengths, stats),
 		lht:   histories.NewLocal(cfg.LHTEntries, uint(maxLen)),
 		width: uint(maxLen),
-		slhm:  make([]slhmEntry, cfg.SLHMCap),
+		slhm:  inflight.New[slhmEntry](cfg.SLHMCap),
 	}
 	if cfg.Interleaved {
 		c.banks = memarray.NewBankTracker()
@@ -129,10 +132,7 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 func (c *Corrector) Reset() {
 	c.eng.Reset()
 	c.lht.Reset()
-	for i := range c.slhm {
-		c.slhm[i] = slhmEntry{}
-	}
-	c.slhmHead, c.slhmLen = 0, 0
+	c.slhm.Reset()
 	if c.banks != nil {
 		c.banks.Reset()
 	}
@@ -161,9 +161,9 @@ func foldLocal(h uint32, width uint) uint32 {
 // slhmLookup finds the youngest in-flight speculative history for a local
 // history table index.
 func (c *Corrector) slhmLookup(idx int) (uint32, bool) {
-	for i := c.slhmLen - 1; i >= 0; i-- {
-		e := &c.slhm[(c.slhmHead+i)%len(c.slhm)]
-		if e.idx == idx {
+	live := c.slhm.Live()
+	for i := len(live) - 1; i >= 0; i-- {
+		if e := &live[i]; e.idx == idx {
 			return e.hist, true
 		}
 	}
@@ -221,21 +221,14 @@ func (c *Corrector) Predict(pc uint64, mainPred bool, tageCtrCentered int32, ctx
 // ("new SH = (SH << 1) + prediction", Figure 8).
 func (c *Corrector) OnResolve(taken bool, ctx *Ctx) {
 	next := histories.Shift(ctx.SpecHist, taken, c.width)
-	if c.slhmLen == len(c.slhm) {
-		c.slhmHead = (c.slhmHead + 1) % len(c.slhm)
-		c.slhmLen--
-	}
-	pos := (c.slhmHead + c.slhmLen) % len(c.slhm)
-	c.slhm[pos] = slhmEntry{idx: ctx.LhtIdx, hist: next}
-	c.slhmLen++
+	c.slhm.Push(slhmEntry{idx: ctx.LhtIdx, hist: next})
 	ctx.PushedSLHM = true
 }
 
 // Retire updates the LGEHL tables and the architectural local history.
 func (c *Corrector) Retire(taken bool, ctx *Ctx, reread bool) {
 	if ctx.PushedSLHM {
-		c.slhmHead = (c.slhmHead + 1) % len(c.slhm)
-		c.slhmLen--
+		c.slhm.Retire()
 	}
 	// Architectural local history advances at retire.
 	arch := c.lht.ReadAt(ctx.LhtIdx)
@@ -271,6 +264,9 @@ func (c *Corrector) Retire(taken bool, ctx *Ctx, reread bool) {
 	}
 	c.eng.AdaptThreshold(scWrong, a)
 }
+
+// InFlight returns the number of live SLHM records.
+func (c *Corrector) InFlight() int { return c.slhm.Len() }
 
 // RevertSuccessRate returns the fraction of reverts that were correct.
 func (c *Corrector) RevertSuccessRate() float64 {
