@@ -146,31 +146,34 @@ func ResolveSpecMust(t *testing.T, s string) Spec {
 	return sp
 }
 
+// traceErrorCases are malformed trace specs, each with a substring its
+// error must contain.
+var traceErrorCases = []struct {
+	spec string
+	want string // substring of the error
+}{
+	{"", "empty"},
+	{"BOGUS", "matches no benchmark"},
+	{"INT99", "did you mean"},
+	{"INT01#7", "drop the \"#7\" suffix"},
+	{"loopy", "write a spec like"},
+	{"zoomy:trip=1", "unknown workload kind"},
+	{"loopy:warp=9", "no field \"warp\""},
+	{"loopy:trip=1,trip=2", "twice"},
+	{"loopy:trip=x", "want an integer"},
+	{"loopy:trip=0", "out of range"},
+	{"callret:ret=1.5", "out of range"},
+	{"loopy:trip", "not key=value"},
+	{"loopy:trip=1,", "stray comma"},
+	{"loopy:trip=1#zz", "bad seed"},
+	{"mix:", "at least one component"},
+	{"file:", "needs a path"},
+}
+
 // TestParseErrors covers the grammar's failure modes: each must error
 // and say something actionable.
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		spec string
-		want string // substring of the error
-	}{
-		{"", "empty"},
-		{"BOGUS", "matches no benchmark"},
-		{"INT99", "did you mean"},
-		{"INT01#7", "drop the \"#7\" suffix"},
-		{"loopy", "write a spec like"},
-		{"zoomy:trip=1", "unknown workload kind"},
-		{"loopy:warp=9", "no field \"warp\""},
-		{"loopy:trip=1,trip=2", "twice"},
-		{"loopy:trip=x", "want an integer"},
-		{"loopy:trip=0", "out of range"},
-		{"callret:ret=1.5", "out of range"},
-		{"loopy:trip", "not key=value"},
-		{"loopy:trip=1,", "stray comma"},
-		{"loopy:trip=1#zz", "bad seed"},
-		{"mix:", "at least one component"},
-		{"file:", "needs a path"},
-	}
-	for _, c := range cases {
+	for _, c := range traceErrorCases {
 		_, err := ParseTraceSpec(c.spec)
 		if err == nil {
 			t.Fatalf("%q: no error", c.spec)

@@ -182,36 +182,39 @@ func TestExplicitSpecsMatchSugar(t *testing.T) {
 	}
 }
 
+// specErrorCases are malformed specs, each with the substrings its
+// error must contain.
+var specErrorCases = []struct {
+	spec string
+	want []string // substrings the error must contain
+}{
+	{"", []string{"empty"}},
+	{"nope", []string{"nope", "tage"}},
+	{"foo:log=3", []string{"foo", "tage, gshare, gehl, composed"}},
+	{"tage:", []string{"empty parameter list"}},
+	{"tage:bogus=1", []string{"bogus", "tables"}},
+	{"tage:tables=99", []string{"tables", "out of range"}},
+	{"tage:tables=x", []string{"tables", "not an integer"}},
+	{"tage:hist=2000", []string{"hist", "min:max"}},
+	{"tage:hist=9:4", []string{"hist", "invalid"}},
+	{"tage:ium=maybe", []string{"ium", "boolean"}},
+	{"tage:tables=4,tables=5", []string{"tables", "twice"}},
+	{"tage:tables=4,,log=7", []string{"empty field"}},
+	{"tage:tables", []string{"key=value"}},
+	{"gshare:log=40", []string{"log", "out of range"}},
+	{"composed:", []string{"component stack"}},
+	{"composed:loop", []string{"tage"}},
+	{"composed:tage+warp", []string{"warp", "ium, loop, gsc, lsc"}},
+	{"composed:tage+ium+ium", []string{"duplicate", "ium"}},
+	{"tage@2x", []string{"delta"}},
+	{"tage@", []string{"delta"}},
+	{"ohsnap@+1", []string{"ohsnap", "storage delta"}},
+}
+
 // TestSpecErrorsNameTheBadField: malformed specs must produce actionable
 // errors naming the offending field or component.
 func TestSpecErrorsNameTheBadField(t *testing.T) {
-	cases := []struct {
-		spec string
-		want []string // substrings the error must contain
-	}{
-		{"", []string{"empty"}},
-		{"nope", []string{"nope", "tage"}},
-		{"foo:log=3", []string{"foo", "tage, gshare, gehl, composed"}},
-		{"tage:", []string{"empty parameter list"}},
-		{"tage:bogus=1", []string{"bogus", "tables"}},
-		{"tage:tables=99", []string{"tables", "out of range"}},
-		{"tage:tables=x", []string{"tables", "not an integer"}},
-		{"tage:hist=2000", []string{"hist", "min:max"}},
-		{"tage:hist=9:4", []string{"hist", "invalid"}},
-		{"tage:ium=maybe", []string{"ium", "boolean"}},
-		{"tage:tables=4,tables=5", []string{"tables", "twice"}},
-		{"tage:tables=4,,log=7", []string{"empty field"}},
-		{"tage:tables", []string{"key=value"}},
-		{"gshare:log=40", []string{"log", "out of range"}},
-		{"composed:", []string{"component stack"}},
-		{"composed:loop", []string{"tage"}},
-		{"composed:tage+warp", []string{"warp", "ium, loop, gsc, lsc"}},
-		{"composed:tage+ium+ium", []string{"duplicate", "ium"}},
-		{"tage@2x", []string{"delta"}},
-		{"tage@", []string{"delta"}},
-		{"ohsnap@+1", []string{"ohsnap", "storage delta"}},
-	}
-	for _, c := range cases {
+	for _, c := range specErrorCases {
 		_, err := ParseSpec(c.spec)
 		if err == nil {
 			t.Fatalf("spec %q: expected error", c.spec)
