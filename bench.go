@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/harness"
 )
@@ -166,75 +165,6 @@ func BenchModels(names []string) ([]BenchModel, error) {
 	return out, nil
 }
 
-// SplitSpecList splits a comma-separated model list the spec-aware way:
-// a comma starts a new spec only when what follows looks like one (a
-// named model, optionally @delta, or a "kind:" prefix); otherwise it
-// continues the previous spec's field list — so one flag value can
-// carry multi-field specs: "tage:tables=9,hist=6:500,gshare:log=14" is
-// two specs, not three. Empty segments are dropped.
-func SplitSpecList(s string) []string {
-	var out []string
-	for _, seg := range strings.Split(s, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if len(out) > 0 && !startsSpec(seg) {
-			out[len(out)-1] += "," + seg
-			continue
-		}
-		out = append(out, seg)
-	}
-	return out
-}
-
-// startsSpec reports whether a comma-separated segment begins a new
-// model spec rather than continuing the previous one's fields (which
-// are always key=value pairs).
-func startsSpec(seg string) bool {
-	if kind, _, ok := strings.Cut(seg, ":"); ok {
-		_, known := specKindDefs[strings.TrimSpace(kind)]
-		return known
-	}
-	name := seg
-	if at := strings.LastIndexByte(name, '@'); at >= 0 {
-		name = name[:at]
-	}
-	_, named := Models()[strings.TrimSpace(name)]
-	return named
-}
-
-// SweepSpecs expands one spec field across values for every base spec —
-// the `bpbench -sweep` axis: each base is rewritten per value via
-// ModelSpec.WithField and returned in canonical form, erroring on
-// duplicate resulting configurations (which would collide on cell keys).
-func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("repro: sweep of %q has no values", key)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range bases {
-		spec, err := ParseSpec(b)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range values {
-			sw, err := spec.WithField(key, v)
-			if err != nil {
-				return nil, err
-			}
-			c := sw.Canonical()
-			if seen[c] {
-				return nil, fmt.Errorf("repro: sweep %s over %q produces duplicate spec %q", key, b, c)
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
 // NewBenchMatrix assembles a matrix from CLI-shaped inputs: model
 // identifiers, trace-name globs (empty = all 40), a comma-separated
 // scenario list, and branches-per-trace lengths.
@@ -272,23 +202,6 @@ func RunBench(m *BenchMatrix, cfg BenchConfig, sink BenchSink) (*BenchSummary, e
 // plans against this expansion before running).
 func ExpandBench(m *BenchMatrix) ([]BenchJob, error) {
 	return m.Expand()
-}
-
-// PlanBenchResume partitions an expanded grid against the records of a
-// prior store: cells with a successful prior record are reused, the rest
-// (missing or failed) are queued to run. head is the provenance new
-// records would be stamped with (CurrentProvenance for a persisted
-// store; the zero value disables the drift check): reused cells recorded
-// under a different git SHA are flagged in the plan's ProvenanceDrift.
-func PlanBenchResume(jobs []BenchJob, prior []BenchRecord, head BenchProvenance) *BenchResumePlan {
-	return harness.PlanResume(jobs, prior, head)
-}
-
-// RunBenchResume executes a resume plan, streaming only the records the
-// store is missing (new cells in expansion order, then aggregates over
-// the merged run) — the append half of the resumable result store.
-func RunBenchResume(plan *BenchResumePlan, cfg BenchConfig, sink BenchSink) (*BenchSummary, error) {
-	return harness.RunResume(plan, cfg, sink)
 }
 
 // RunBenchResumeStore runs the whole store-backed resume sequence

@@ -68,6 +68,8 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/specfield"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -202,29 +204,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer repro.StartBenchProgress(stderr, reg, 0)()
 	}
 
-	// Spec-aware split: commas separate models only where a new spec
-	// starts, so multi-field specs ride in one -models value.
-	modelSpecs := repro.SplitSpecList(*models)
+	// Spec-aware split, the same on both axes: a bare key=value segment
+	// continues the preceding spec, so multi-field specs ride in one
+	// -models or -traces value.
+	modelSpecs := specfield.Split(*models)
 	if *sweep != "" {
-		key, values, err := parseSweep(*sweep, "-sweep", repro.SpecFieldSweepsAsRange)
+		key, values, err := parseSweep(*sweep, "-sweep", repro.SpecGrammar)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
-		if modelSpecs, err = repro.SweepSpecs(modelSpecs, key, values); err != nil {
+		if modelSpecs, err = specfield.Sweep(modelSpecs, key, values, repro.ParseSpec); err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
 	}
-	// Same spec-aware split on the trace axis: commas inside a generator
-	// spec's field list stay part of that spec.
-	tracePatterns := repro.SplitTraceList(*traces)
+	tracePatterns := specfield.Split(*traces)
 	if *traceSweep != "" {
 		if len(tracePatterns) == 0 {
 			log.Error("bpbench: -trace-sweep rewrites generator specs; name at least one with -traces (e.g. -traces 'phased:' -trace-sweep period=1024,8192)")
 			return 2
 		}
-		key, values, err := parseSweep(*traceSweep, "-trace-sweep", repro.TraceFieldSweepsAsRange)
+		key, values, err := parseSweep(*traceSweep, "-trace-sweep", workload.Grammar)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
@@ -555,17 +556,16 @@ func splitList(s string) []string {
 
 // parseSweep parses a sweep axis (-sweep for model specs, -trace-sweep
 // for workload specs): "key=lo:hi" (an inclusive integer range, for
-// fields the relevant registry — via rangeOK — declares
-// integer-valued) or "key=v1,v2,..." (verbatim values — the form for
+// fields the axis grammar g declares integer-valued) or "key=v1,v2,..." (verbatim values — the form for
 // fields whose values themselves contain ':', like hist=6:500,6:2000).
-func parseSweep(s, flagName string, rangeOK func(string) bool) (key string, values []string, err error) {
+func parseSweep(s, flagName string, g specfield.Grammar) (key string, values []string, err error) {
 	key, rest, ok := strings.Cut(s, "=")
 	key = strings.TrimSpace(key)
 	if !ok || key == "" || strings.TrimSpace(rest) == "" {
 		return "", nil, fmt.Errorf("bad %s %q (want key=lo:hi or key=v1,v2,...)", flagName, s)
 	}
 	parts := splitList(rest)
-	if len(parts) == 1 && strings.Contains(parts[0], ":") && rangeOK(key) {
+	if len(parts) == 1 && strings.Contains(parts[0], ":") && g.SweepsAsRange(key) {
 		lo, hi, _ := strings.Cut(parts[0], ":")
 		l, err1 := strconv.Atoi(strings.TrimSpace(lo))
 		h, err2 := strconv.Atoi(strings.TrimSpace(hi))

@@ -73,16 +73,6 @@ func SatDecUnsigned(v uint32) uint32 {
 	return v - d
 }
 
-// B2u returns 1 for true and 0 for false, in a form the compiler lowers to
-// a flag materialisation instead of a branch.
-func B2u(b bool) uint32 {
-	var v uint32
-	if b {
-		v = 1
-	}
-	return v
-}
-
 // SignedMax returns the largest value of a signed counter of the given width.
 func SignedMax(bits uint) int32 { return int32(1)<<(bits-1) - 1 }
 

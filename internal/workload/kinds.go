@@ -14,51 +14,82 @@ import (
 	"strings"
 
 	"repro/internal/rng"
+	"repro/internal/specfield"
 )
 
 // kindOrder lists the generator kinds in documentation order.
 var kindOrder = []string{"loopy", "callret", "datadep", "phased", "ctxflush", "mix"}
 
-// traceKindDef describes one generator kind: its fields (canonical
-// order, defaults, validation) and the program template.
-type traceKindDef struct {
-	kind    string
-	doc     string
-	fields  []traceFieldDef
-	program func(ts TraceSpec, b *builder) node
+// Grammar declares every generator kind's fields: canonical order,
+// defaults and validation.
+var Grammar = specfield.Grammar{
+	"loopy": {
+		tIntField("trip", 1, 1_000_000, "24"),
+		tIntField("jitter", 0, 1_000_000, "0"),
+		tIntField("body", 0, 64, "2"),
+		tIntField("sites", 1, 64, "4"),
+	},
+	"callret": {
+		tIntField("depth", 1, 32, "8"),
+		tIntField("fan", 1, 8, "3"),
+		tFloatField("ret", 0, 1, "0.3"),
+	},
+	"datadep": {
+		tIntField("sites", 1, 256, "8"),
+		tFloatField("bias", 0.5, 1, "0.6"),
+		tIntField("filler", 0, 64, "4"),
+	},
+	"phased": {
+		tIntField("period", 16, 1<<30, "8192"),
+		tIntField("phases", 2, 16, "4"),
+	},
+	"ctxflush": {
+		tIntField("period", 64, 1<<30, "50000"),
+		tIntField("burst", 1, 4096, "64"),
+	},
+	"mix": mixFields(),
 }
 
-type traceFieldDef struct {
-	key       string
-	intRange  bool // plain integer: eligible for lo:hi sweep ranges
-	def       string
-	normalise func(string) (string, error)
-}
-
-func (d *traceKindDef) field(key string) *traceFieldDef {
-	for i := range d.fields {
-		if d.fields[i].key == key {
-			return &d.fields[i]
+// mixFields are mix's component weights, one per other kind.
+func mixFields() specfield.Fields {
+	var fs specfield.Fields
+	for _, k := range kindOrder {
+		if k != "mix" {
+			fs = append(fs, tIntField(k, 1, 100, ""))
 		}
 	}
-	return nil
+	return fs
 }
 
-func (d *traceKindDef) fieldKeys() string {
-	keys := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		keys[i] = f.key
+// traceKind is one generator kind's listing text and program template.
+type traceKind struct {
+	doc     string
+	program func(TraceSpec, *builder) node
+}
+
+// traceKinds registers the kinds. Populated in init: mix builds its
+// components through this map, which the compiler would reject as an
+// initialization cycle in a var initializer.
+var traceKinds map[string]traceKind
+
+func init() {
+	traceKinds = map[string]traceKind{
+		"loopy":    {"trip-count loops with irregular bodies: the loop predictor's territory, jitter defeats it", loopyProgram},
+		"callret":  {"deep call/return trees: history churn from fan-out calls and data-dependent returns", callretProgram},
+		"datadep":  {"statistically biased, history-uncorrelated branches: the Statistical Corrector's target class", datadepProgram},
+		"phased":   {"hot/cold phase transitions: distinct programs alternate every `period` branches", phasedProgram},
+		"ctxflush": {"periodic context-switch history pollution: bursts of alien branches every `period` branches", ctxflushProgram},
+		"mix":      {"weighted composition of the other kinds (at each step one component runs, chosen by weight)", mixProgram},
 	}
-	return strings.Join(keys, ", ")
 }
 
 // tIntField declares an integer field with inclusive bounds.
-func tIntField(key string, min, max int64, def string) traceFieldDef {
-	return traceFieldDef{
-		key:      key,
-		intRange: true,
-		def:      def,
-		normalise: func(v string) (string, error) {
+func tIntField(key string, min, max int64, def string) specfield.Field {
+	return specfield.Field{
+		Key:      key,
+		IntRange: true,
+		Default:  def,
+		Normalise: func(v string) (string, error) {
 			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
 			if err != nil {
 				return "", fmt.Errorf("want an integer, got %q", v)
@@ -73,11 +104,11 @@ func tIntField(key string, min, max int64, def string) traceFieldDef {
 
 // tFloatField declares a float field with inclusive bounds; the
 // canonical form is Go's shortest round-trip rendering.
-func tFloatField(key string, min, max float64, def string) traceFieldDef {
-	return traceFieldDef{
-		key: key,
-		def: def,
-		normalise: func(v string) (string, error) {
+func tFloatField(key string, min, max float64, def string) specfield.Field {
+	return specfield.Field{
+		Key:     key,
+		Default: def,
+		Normalise: func(v string) (string, error) {
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 				return "", fmt.Errorf("want a number, got %q", v)
@@ -96,7 +127,7 @@ func tFloatField(key string, min, max float64, def string) traceFieldDef {
 func (s TraceSpec) fieldInt(key string) int {
 	v, ok := s.Field(key)
 	if !ok {
-		v = traceKindDefs[s.kind].field(key).def
+		v = Grammar[s.kind].Lookup(key).Default
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
@@ -109,86 +140,13 @@ func (s TraceSpec) fieldInt(key string) int {
 func (s TraceSpec) fieldFloat(key string) float64 {
 	v, ok := s.Field(key)
 	if !ok {
-		v = traceKindDefs[s.kind].field(key).def
+		v = Grammar[s.kind].Lookup(key).Default
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		panic(fmt.Sprintf("workload: kind %q field %q: non-numeric canonical value %q", s.kind, key, v))
 	}
 	return f
-}
-
-// traceKindDefs registers the kinds. Populated in init (the program
-// templates read defaults back out of the registry, which the compiler
-// would reject as an initialization cycle in a var initializer); mix
-// derives its component-weight fields from kindOrder.
-var traceKindDefs map[string]*traceKindDef
-
-func init() {
-	defs := map[string]*traceKindDef{
-		"loopy": {
-			kind: "loopy",
-			doc:  "trip-count loops with irregular bodies: the loop predictor's territory, jitter defeats it",
-			fields: []traceFieldDef{
-				tIntField("trip", 1, 1_000_000, "24"),
-				tIntField("jitter", 0, 1_000_000, "0"),
-				tIntField("body", 0, 64, "2"),
-				tIntField("sites", 1, 64, "4"),
-			},
-			program: loopyProgram,
-		},
-		"callret": {
-			kind: "callret",
-			doc:  "deep call/return trees: history churn from fan-out calls and data-dependent returns",
-			fields: []traceFieldDef{
-				tIntField("depth", 1, 32, "8"),
-				tIntField("fan", 1, 8, "3"),
-				tFloatField("ret", 0, 1, "0.3"),
-			},
-			program: callretProgram,
-		},
-		"datadep": {
-			kind: "datadep",
-			doc:  "statistically biased, history-uncorrelated branches: the Statistical Corrector's target class",
-			fields: []traceFieldDef{
-				tIntField("sites", 1, 256, "8"),
-				tFloatField("bias", 0.5, 1, "0.6"),
-				tIntField("filler", 0, 64, "4"),
-			},
-			program: datadepProgram,
-		},
-		"phased": {
-			kind: "phased",
-			doc:  "hot/cold phase transitions: distinct programs alternate every `period` branches",
-			fields: []traceFieldDef{
-				tIntField("period", 16, 1<<30, "8192"),
-				tIntField("phases", 2, 16, "4"),
-			},
-			program: phasedProgram,
-		},
-		"ctxflush": {
-			kind: "ctxflush",
-			doc:  "periodic context-switch history pollution: bursts of alien branches every `period` branches",
-			fields: []traceFieldDef{
-				tIntField("period", 64, 1<<30, "50000"),
-				tIntField("burst", 1, 4096, "64"),
-			},
-			program: ctxflushProgram,
-		},
-	}
-	mix := &traceKindDef{
-		kind:    "mix",
-		doc:     "weighted composition of the other kinds (at each step one component runs, chosen by weight)",
-		program: mixProgram,
-	}
-	for _, k := range kindOrder {
-		if k == "mix" {
-			continue
-		}
-		mix.fields = append(mix.fields, tIntField(k, 1, 100, ""))
-	}
-	defs["mix"] = mix
-	traceKindDefs = defs
 }
 
 // --- program structure for the new kinds ---
@@ -404,7 +362,7 @@ func mixProgram(ts TraceSpec, b *builder) node {
 			panic(fmt.Sprintf("workload: mix weight %q: non-integer canonical value %q", k, v))
 		}
 		weights = append(weights, w)
-		children = append(children, traceKindDefs[k].program(TraceSpec{kind: k}, b))
+		children = append(children, traceKinds[k].program(TraceSpec{kind: k}, b))
 	}
 	if len(children) == 1 {
 		return children[0]

@@ -28,7 +28,9 @@ package workload
 // and two spellings of one workload collide on the same cell key. The
 // 40 named benchmarks are sugar specs whose canonical form is exactly
 // the name, so every pre-spec cell key and golden record survives
-// byte-identical.
+// byte-identical. The key=value field layer is internal/specfield,
+// shared with the model-spec grammar; this file keeps the benchmark
+// names, '#seed' and file sources, and kinds.go the generator programs.
 
 import (
 	"fmt"
@@ -36,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/specfield"
 	"repro/internal/trace"
 )
 
@@ -43,15 +46,13 @@ import (
 // obtain one from ParseTraceSpec (or derive one with WithField, which
 // re-validates).
 type TraceSpec struct {
-	kind    string       // generator kind, "file", or a benchmark name
-	named   bool         // kind is one of the 40 benchmark names
-	path    string       // file-backed source path (kind "file")
-	fields  []traceField // explicitly-set fields, canonical order
-	seed    uint64       // generation seed
-	hasSeed bool         // spec carries an explicit '#seed' suffix
+	kind    string           // generator kind, "file", or a benchmark name
+	named   bool             // kind is one of the 40 benchmark names
+	path    string           // file-backed source path (kind "file")
+	fields  specfield.Values // explicitly-set fields, canonical order
+	seed    uint64           // generation seed
+	hasSeed bool             // spec carries an explicit '#seed' suffix
 }
-
-type traceField struct{ key, val string }
 
 // Kind returns the generator kind ("loopy", …), "file" for file-backed
 // sources, or the benchmark name for named sugar.
@@ -60,22 +61,12 @@ func (s TraceSpec) Kind() string { return s.kind }
 // IsNamed reports whether the spec is one of the named-benchmark sugars.
 func (s TraceSpec) IsNamed() bool { return s.named }
 
-// IsFile reports whether the spec is a file-backed source.
-func (s TraceSpec) IsFile() bool { return s.kind == "file" }
-
 // Seed returns the generation seed and whether the spec spells one out
 // (generation defaults to seed 1 when it does not).
 func (s TraceSpec) Seed() (uint64, bool) { return s.seed, s.hasSeed }
 
 // Field returns the explicitly-set value of a field, if any.
-func (s TraceSpec) Field(key string) (string, bool) {
-	for _, f := range s.fields {
-		if f.key == key {
-			return f.val, true
-		}
-	}
-	return "", false
-}
+func (s TraceSpec) Field(key string) (string, bool) { return s.fields.Get(key) }
 
 // Canonical returns the canonical spec string: parsing it back yields
 // an identical spec, and every layer (cell keys, stores)
@@ -90,14 +81,7 @@ func (s TraceSpec) Canonical() string {
 	var b strings.Builder
 	b.WriteString(s.kind)
 	b.WriteByte(':')
-	for i, f := range s.fields {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f.key)
-		b.WriteByte('=')
-		b.WriteString(f.val)
-	}
+	b.WriteString(s.fields.String())
 	if s.hasSeed {
 		fmt.Fprintf(&b, "#%d", s.seed)
 	}
@@ -122,36 +106,19 @@ func Kinds() []string {
 func KindSummaries() []string {
 	out := make([]string, 0, len(kindOrder)+1)
 	for _, k := range kindOrder {
-		def := traceKindDefs[k]
-		fs := make([]string, len(def.fields))
-		for i, f := range def.fields {
-			if f.def != "" {
-				fs[i] = f.key + "=" + f.def
+		fields := Grammar[k]
+		fs := make([]string, len(fields))
+		for i, f := range fields {
+			if f.Default != "" {
+				fs[i] = f.Key + "=" + f.Default
 			} else {
-				fs[i] = f.key
+				fs[i] = f.Key
 			}
 		}
-		out = append(out, fmt.Sprintf("%s:%s  (%s)", k, strings.Join(fs, ","), def.doc))
+		out = append(out, fmt.Sprintf("%s:%s  (%s)", k, strings.Join(fs, ","), traceKinds[k].doc))
 	}
 	out = append(out, fileKind+":path.bpt  (external trace in the binary format; see tracegen convert)")
 	return out
-}
-
-// FieldSweepsAsRange reports whether a -trace-sweep of the field may
-// use the inclusive lo:hi integer-range form: true only when every kind
-// defining the key declares it a plain integer (float-valued fields
-// need explicit value lists).
-func FieldSweepsAsRange(key string) bool {
-	found := false
-	for _, def := range traceKindDefs {
-		if fd := def.field(key); fd != nil {
-			if !fd.intRange {
-				return false
-			}
-			found = true
-		}
-	}
-	return found
 }
 
 // ParseTraceSpec parses a trace-spec string: a benchmark name, a
@@ -175,7 +142,7 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 					raw[:hash], raw[hash:])
 			}
 		}
-		if traceKindDefs[raw] != nil {
+		if Grammar[raw] != nil {
 			return TraceSpec{}, fmt.Errorf("workload: %q is a generator kind, not a benchmark; write a spec like %q (all fields default) or %q",
 				raw, raw+":", raw+":"+exampleField(raw))
 		}
@@ -188,8 +155,8 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 		}
 		return TraceSpec{kind: fileKind, path: p}, nil
 	}
-	def := traceKindDefs[kind]
-	if def == nil {
+	fields := Grammar[kind]
+	if fields == nil {
 		return TraceSpec{}, fmt.Errorf("workload: unknown workload kind %q (kinds: %s; or a benchmark name, or 'file:path.bpt')",
 			kind, strings.Join(kindOrder, ", "))
 	}
@@ -202,35 +169,10 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 		spec.seed, spec.hasSeed = n, true
 		body = body[:hash]
 	}
-	vals := make(map[string]string)
 	if strings.TrimSpace(body) != "" {
-		for _, item := range strings.Split(body, ",") {
-			item = strings.TrimSpace(item)
-			if item == "" {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q has an empty field (stray comma?)", raw)
-			}
-			k, v, ok := strings.Cut(item, "=")
-			if !ok {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q: field %q is not key=value", raw, item)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			fd := def.field(k)
-			if fd == nil {
-				return TraceSpec{}, fmt.Errorf("workload: kind %q has no field %q (valid fields: %s)", kind, k, def.fieldKeys())
-			}
-			if _, dup := vals[k]; dup {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q sets field %q twice", raw, k)
-			}
-			canon, err := fd.normalise(v)
-			if err != nil {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q: field %q: %w", raw, k, err)
-			}
-			vals[k] = canon
-		}
-	}
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			spec.fields = append(spec.fields, traceField{fd.key, v})
+		var err error
+		if spec.fields, err = fields.Parse(body); err != nil {
+			return TraceSpec{}, fmt.Errorf("workload: spec %q: %w", raw, err)
 		}
 	}
 	if kind == "mix" && len(spec.fields) == 0 {
@@ -241,15 +183,15 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 
 // exampleField renders a plausible key=value for a kind's error hints.
 func exampleField(kind string) string {
-	def := traceKindDefs[kind]
-	if def == nil || len(def.fields) == 0 {
+	fields := Grammar[kind]
+	if len(fields) == 0 {
 		return "key=value"
 	}
-	f := def.fields[0]
-	if f.def != "" {
-		return f.key + "=" + f.def
+	f := fields[0]
+	if f.Default != "" {
+		return f.Key + "=" + f.Default
 	}
-	return f.key + "=1"
+	return f.Key + "=1"
 }
 
 // WithField returns the spec with one field set (replacing an existing
@@ -264,27 +206,12 @@ func (s TraceSpec) WithField(key, val string) (TraceSpec, error) {
 	if s.kind == fileKind {
 		return TraceSpec{}, fmt.Errorf("workload: file-backed trace %q has no parameter fields", s.Canonical())
 	}
-	def := traceKindDefs[s.kind]
-	fd := def.field(key)
-	if fd == nil {
-		return TraceSpec{}, fmt.Errorf("workload: kind %q has no field %q (valid fields: %s)", s.kind, key, def.fieldKeys())
-	}
-	canon, err := fd.normalise(val)
+	fields, err := Grammar[s.kind].With(s.fields, key, val)
 	if err != nil {
-		return TraceSpec{}, fmt.Errorf("workload: field %q: %w", key, err)
+		return TraceSpec{}, fmt.Errorf("workload: spec %q: %w", s.Canonical(), err)
 	}
-	vals := make(map[string]string, len(s.fields)+1)
-	for _, f := range s.fields {
-		vals[f.key] = f.val
-	}
-	vals[key] = canon
 	out := s
-	out.fields = nil
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			out.fields = append(out.fields, traceField{fd.key, v})
-		}
-	}
+	out.fields = fields
 	return out, nil
 }
 
@@ -328,7 +255,7 @@ func (s TraceSpec) Resolve() (Spec, error) {
 			},
 		}, nil
 	default:
-		def := traceKindDefs[s.kind]
+		program := traceKinds[s.kind].program
 		seed := uint64(1)
 		if s.hasSeed {
 			seed = s.seed
@@ -338,7 +265,7 @@ func (s TraceSpec) Resolve() (Spec, error) {
 			Name:     s.Canonical(),
 			Category: strings.ToUpper(s.kind),
 			Seed:     seed,
-			build:    func(b *builder) node { return def.program(ts, b) },
+			build:    func(b *builder) node { return program(ts, b) },
 		}, nil
 	}
 }
@@ -352,67 +279,6 @@ func ResolveSpec(s string) (Spec, error) {
 		return Spec{}, err
 	}
 	return ts.Resolve()
-}
-
-// SweepSpecs expands one generator field across values for every base
-// spec — the `bpbench -trace-sweep` axis: each base is rewritten per
-// value via WithField and returned in canonical form, erroring on
-// duplicate resulting workloads (which would collide on cell keys).
-func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("workload: sweep of %q has no values", key)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range bases {
-		spec, err := ParseTraceSpec(b)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range values {
-			sw, err := spec.WithField(key, v)
-			if err != nil {
-				return nil, err
-			}
-			c := sw.Canonical()
-			if seen[c] {
-				return nil, fmt.Errorf("workload: sweep %s over %q produces duplicate spec %q", key, b, c)
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// SplitPatterns splits a comma-separated trace flag the spec-aware way:
-// a comma continues the previous pattern's field list only when the
-// previous pattern is a generator spec and what follows is a bare
-// key=value pair — so "phased:period=4096,phases=8#1,INT01" is two
-// patterns, not three. Empty segments are dropped.
-func SplitPatterns(s string) []string {
-	var out []string
-	for _, seg := range strings.Split(s, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if len(out) > 0 && continuesSpec(seg) {
-			if kind, _, ok := strings.Cut(out[len(out)-1], ":"); ok && traceKindDefs[kind] != nil {
-				out[len(out)-1] += "," + seg
-				continue
-			}
-		}
-		out = append(out, seg)
-	}
-	return out
-}
-
-// continuesSpec reports whether a segment looks like a spec field
-// (key=value with a glob-free key) rather than a new pattern.
-func continuesSpec(seg string) bool {
-	k, _, ok := strings.Cut(seg, "=")
-	return ok && !strings.ContainsAny(k, ":*?[")
 }
 
 // unknownNameError explains an unmatched benchmark name with near-miss

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/specfield"
 )
 
 var updateSpecGolden = flag.Bool("update", false, "rewrite testdata/tracespec-canonical.golden from the current code")
@@ -63,7 +65,7 @@ func TestTraceSpecCanonicalGolden(t *testing.T) {
 		parse(in)
 	}
 	sweep := func(bases []string, key string, values []string) {
-		out, err := SweepSpecs(bases, key, values)
+		out, err := specfield.Sweep(bases, key, values, ParseTraceSpec)
 		specGoldenLine(&b, fmt.Sprintf("sweep %s over %s: %s", key, strings.Join(bases, " "), strings.Join(values, " ")),
 			strings.Join(out, " "), err)
 	}

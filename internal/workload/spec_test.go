@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/specfield"
 	"repro/internal/trace"
 )
 
@@ -16,23 +17,23 @@ import (
 // messy-but-legal spacing and field order) plus its expected parse.
 func randomSpec(r *rand.Rand) string {
 	kind := kindOrder[r.Intn(len(kindOrder))]
-	def := traceKindDefs[kind]
+	fields := Grammar[kind]
 	var parts []string
 	if kind == "mix" {
-		n := 1 + r.Intn(len(def.fields))
-		perm := r.Perm(len(def.fields))
+		n := 1 + r.Intn(len(fields))
+		perm := r.Perm(len(fields))
 		for _, i := range perm[:n] {
-			parts = append(parts, fmt.Sprintf("%s=%d", def.fields[i].key, 1+r.Intn(100)))
+			parts = append(parts, fmt.Sprintf("%s=%d", fields[i].Key, 1+r.Intn(100)))
 		}
 	} else {
-		for _, f := range def.fields {
+		for _, f := range fields {
 			if r.Intn(2) == 0 {
 				continue
 			}
-			if f.intRange {
+			if f.IntRange {
 				// Stay inside each field's legal range.
 				var v int
-				switch f.key {
+				switch f.Key {
 				case "period":
 					v = 64 + r.Intn(8192)
 				case "phases":
@@ -44,9 +45,9 @@ func randomSpec(r *rand.Rand) string {
 				default:
 					v = 1 + r.Intn(64)
 				}
-				parts = append(parts, fmt.Sprintf("%s=%d", f.key, v))
+				parts = append(parts, fmt.Sprintf("%s=%d", f.Key, v))
 			} else {
-				parts = append(parts, fmt.Sprintf("%s=%.2f", f.key, 0.5+0.5*r.Float64()))
+				parts = append(parts, fmt.Sprintf("%s=%.2f", f.Key, 0.5+0.5*r.Float64()))
 			}
 		}
 	}
@@ -211,9 +212,10 @@ func TestWithFieldRewrite(t *testing.T) {
 	}
 }
 
-// TestSweepSpecs expands bases x values and rejects duplicates.
+// TestSweepSpecs expands bases x values of trace specs through the
+// shared sweep and rejects duplicates.
 func TestSweepSpecs(t *testing.T) {
-	out, err := SweepSpecs([]string{"phased:", "phased:phases=8"}, "period", []string{"1024", "4096"})
+	out, err := specfield.Sweep([]string{"phased:", "phased:phases=8"}, "period", []string{"1024", "4096"}, ParseTraceSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,38 +231,11 @@ func TestSweepSpecs(t *testing.T) {
 			t.Fatalf("out[%d] = %q, want %q", i, out[i], want[i])
 		}
 	}
-	if _, err := SweepSpecs([]string{"phased:period=1024", "phased:"}, "period", []string{"1024"}); err == nil {
+	if _, err := specfield.Sweep([]string{"phased:period=1024", "phased:"}, "period", []string{"1024"}, ParseTraceSpec); err == nil {
 		t.Fatal("duplicate sweep accepted")
 	}
-	if _, err := SweepSpecs([]string{"phased:"}, "period", nil); err == nil {
+	if _, err := specfield.Sweep([]string{"phased:"}, "period", nil, ParseTraceSpec); err == nil {
 		t.Fatal("empty value sweep accepted")
-	}
-}
-
-// TestSplitPatterns: commas continue a generator spec's field list but
-// separate everything else.
-func TestSplitPatterns(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"INT01,MM05", []string{"INT01", "MM05"}},
-		{"phased:period=4096,phases=8#1,INT01", []string{"phased:period=4096,phases=8#1", "INT01"}},
-		{"loopy:trip=5,jitter=2,datadep:bias=0.9", []string{"loopy:trip=5,jitter=2", "datadep:bias=0.9"}},
-		{"INT*,file:x.bpt", []string{"INT*", "file:x.bpt"}},
-		{" , INT01 , ", []string{"INT01"}},
-		{"mix:loopy=1,phased=2", []string{"mix:loopy=1,phased=2"}},
-	}
-	for _, c := range cases {
-		got := SplitPatterns(c.in)
-		if len(got) != len(c.want) {
-			t.Fatalf("%q: got %v, want %v", c.in, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%q: got %v, want %v", c.in, got, c.want)
-			}
-		}
 	}
 }
 
@@ -381,13 +356,13 @@ func TestKindSummaries(t *testing.T) {
 // TestFieldSweepsAsRange: integer fields sweep as ranges, float fields
 // must not (their lo:hi would be misparsed), unknown keys neither.
 func TestFieldSweepsAsRange(t *testing.T) {
-	if !FieldSweepsAsRange("trip") || !FieldSweepsAsRange("period") {
+	if !Grammar.SweepsAsRange("trip") || !Grammar.SweepsAsRange("period") {
 		t.Fatal("integer fields should range-sweep")
 	}
-	if FieldSweepsAsRange("bias") || FieldSweepsAsRange("ret") {
+	if Grammar.SweepsAsRange("bias") || Grammar.SweepsAsRange("ret") {
 		t.Fatal("float fields must not range-sweep")
 	}
-	if FieldSweepsAsRange("warp") {
+	if Grammar.SweepsAsRange("warp") {
 		t.Fatal("unknown field should not range-sweep")
 	}
 }

@@ -16,12 +16,9 @@ import (
 // the progress reporter reads the same registry, so the /metrics
 // endpoint and the stderr progress line can never disagree. A nil
 // registry everywhere means telemetry off at zero overhead.
-type (
-	// MetricsRegistry is the injectable telemetry registry. Nil = no-op.
-	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a deterministic point-in-time registry copy.
-	MetricsSnapshot = metrics.Snapshot
-)
+
+// MetricsRegistry is the injectable telemetry registry. Nil = no-op.
+type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty telemetry registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }

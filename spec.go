@@ -34,7 +34,11 @@ package repro
 // Canonicalisation normalises field order (each kind declares one), value
 // formatting, stack order and the delta sign, so ParseSpec(s.Canonical())
 // is the identity and two spellings of the same configuration collide on
-// the same cell key instead of silently duplicating work.
+// the same cell key instead of silently duplicating work. The key=value
+// field layer (parsing, rendering, the WithField rewrite, sweeps and flag
+// splitting) is internal/specfield, shared with the trace-spec grammar;
+// SpecGrammar declares this grammar's fields, and this file keeps the
+// named sugar, '@delta', the composed stack and the builders.
 
 import (
 	"fmt"
@@ -45,6 +49,7 @@ import (
 	"repro/internal/gehl"
 	"repro/internal/gshare"
 	"repro/internal/predictor"
+	"repro/internal/specfield"
 	"repro/internal/tage"
 )
 
@@ -52,15 +57,13 @@ import (
 // invalid; obtain one from ParseSpec (or derive one with WithField /
 // WithDelta, which re-validate).
 type ModelSpec struct {
-	kind     string      // spec kind, or a named-model identifier
-	named    bool        // kind is one of the Models() identifiers
-	parts    []string    // composed component stack, canonical order
-	fields   []specField // explicitly-set fields, canonical order
-	delta    int         // storage-budget exponent (2^delta)
-	hasDelta bool        // spec carries a delta suffix (including @+0)
+	kind     string           // spec kind, or a named-model identifier
+	named    bool             // kind is one of the Models() identifiers
+	parts    []string         // composed component stack, canonical order
+	fields   specfield.Values // explicitly-set fields, canonical order
+	delta    int              // storage-budget exponent (2^delta)
+	hasDelta bool             // spec carries a delta suffix (including @+0)
 }
-
-type specField struct{ key, val string }
 
 // Kind returns the spec kind ("tage", "gshare", …) or, for named sugar,
 // the model identifier.
@@ -74,14 +77,7 @@ func (s ModelSpec) IsNamed() bool { return s.named }
 func (s ModelSpec) Delta() (int, bool) { return s.delta, s.hasDelta }
 
 // Field returns the explicitly-set value of a field, if any.
-func (s ModelSpec) Field(key string) (string, bool) {
-	for _, f := range s.fields {
-		if f.key == key {
-			return f.val, true
-		}
-	}
-	return "", false
-}
+func (s ModelSpec) Field(key string) (string, bool) { return s.fields.Get(key) }
 
 // Canonical returns the canonical spec string: parsing it back yields an
 // identical spec, and every layer (cell keys, stores, diffs) uses this
@@ -91,20 +87,11 @@ func (s ModelSpec) Canonical() string {
 	b.WriteString(s.kind)
 	if !s.named {
 		b.WriteByte(':')
-		sep := false
-		if len(s.parts) > 0 {
-			b.WriteString(strings.Join(s.parts, "+"))
-			sep = true
+		b.WriteString(strings.Join(s.parts, "+"))
+		if len(s.parts) > 0 && len(s.fields) > 0 {
+			b.WriteByte(',')
 		}
-		for _, f := range s.fields {
-			if sep {
-				b.WriteByte(',')
-			}
-			b.WriteString(f.key)
-			b.WriteByte('=')
-			b.WriteString(f.val)
-			sep = true
-		}
+		b.WriteString(s.fields.String())
 	}
 	if s.hasDelta {
 		fmt.Fprintf(&b, "@%+d", s.delta)
@@ -149,35 +136,19 @@ func (s ModelSpec) WithDelta(d int) (ModelSpec, error) {
 // gshare, gehl) desugar first; other named models have no field grammar
 // and error with the explicit spelling to use instead.
 func (s ModelSpec) WithField(key, val string) (ModelSpec, error) {
-	base := s
+	out := s
 	if s.named {
-		if def := specKindDefs[s.kind]; def == nil || def.stacked {
+		if SpecGrammar[s.kind] == nil {
 			return ModelSpec{}, fmt.Errorf("repro: named model %q has no parameter fields; spell the configuration out (e.g. %s) to set %q",
 				s.kind, namedExplicitHint(s.kind), key)
 		}
-		base = ModelSpec{kind: s.kind, delta: s.delta, hasDelta: s.hasDelta}
+		out.named = false
 	}
-	def := specKindDefs[base.kind]
-	fd := def.field(key)
-	if fd == nil {
-		return ModelSpec{}, fmt.Errorf("repro: spec kind %q has no field %q (valid fields: %s)", base.kind, key, def.fieldKeys())
-	}
-	canon, err := fd.normalise(val)
+	fields, err := SpecGrammar[out.kind].With(out.fields, key, val)
 	if err != nil {
-		return ModelSpec{}, fmt.Errorf("repro: field %q: %w", key, err)
+		return ModelSpec{}, fmt.Errorf("repro: spec %q: %w", s.Canonical(), err)
 	}
-	vals := make(map[string]string, len(base.fields)+1)
-	for _, f := range base.fields {
-		vals[f.key] = f.val
-	}
-	vals[key] = canon
-	out := base
-	out.fields = nil
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			out.fields = append(out.fields, specField{fd.key, v})
-		}
-	}
+	out.fields = fields
 	return out, nil
 }
 
@@ -199,25 +170,6 @@ func namedExplicitHint(name string) string {
 // SpecKinds lists the parameterised spec kinds in documentation order.
 func SpecKinds() []string {
 	return []string{"tage", "gshare", "gehl", "composed"}
-}
-
-// SpecFieldSweepsAsRange reports whether a sweep of the field may use
-// the inclusive lo:hi integer-range form: true only when every kind
-// defining the key declares it a plain integer (fields whose values
-// carry their own ':' — hist — or are non-numeric need explicit value
-// lists). Derived from the field registry, so a future colon-valued
-// field automatically opts out instead of misparsing as a range.
-func SpecFieldSweepsAsRange(key string) bool {
-	found := false
-	for _, def := range specKindDefs {
-		if fd := def.field(key); fd != nil {
-			if !fd.intRange {
-				return false
-			}
-			found = true
-		}
-	}
-	return found
 }
 
 // ParseSpec parses a model-spec string: a named model ("tage-lsc"), a
@@ -255,56 +207,33 @@ func ParseSpec(s string) (ModelSpec, error) {
 		}
 		return spec, nil
 	}
-	def := specKindDefs[kind]
-	if def == nil {
+	fields := SpecGrammar[kind]
+	if fields == nil {
 		return ModelSpec{}, fmt.Errorf("repro: unknown spec kind %q (parameterised kinds: %s; or use a named model: %s)",
 			kind, strings.Join(SpecKinds(), ", "), strings.Join(ModelNames(), ", "))
 	}
 	spec.kind = kind
 	if strings.TrimSpace(body) == "" {
-		if def.stacked {
+		if kind == "composed" {
 			return ModelSpec{}, fmt.Errorf("repro: spec %q: %q needs a component stack, e.g. 'composed:tage+ium+lsc'", raw, kind)
 		}
 		return ModelSpec{}, fmt.Errorf("repro: spec %q has an empty parameter list (for the default configuration use the named model, e.g. %q)", raw, kind)
 	}
-	items := strings.Split(body, ",")
-	idx := 0
-	if def.stacked {
-		parts, err := parseStack(items[0])
+	if kind == "composed" {
+		stack, rest, hasFields := strings.Cut(body, ",")
+		parts, err := parseStack(stack)
 		if err != nil {
 			return ModelSpec{}, fmt.Errorf("repro: spec %q: %w", raw, err)
 		}
 		spec.parts = parts
-		idx = 1
+		if !hasFields {
+			return spec, nil
+		}
+		body = rest
 	}
-	vals := make(map[string]string)
-	for _, item := range items[idx:] {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return ModelSpec{}, fmt.Errorf("repro: spec %q has an empty field (stray comma?)", raw)
-		}
-		k, v, ok := strings.Cut(item, "=")
-		if !ok {
-			return ModelSpec{}, fmt.Errorf("repro: spec %q: field %q is not key=value", raw, item)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		fd := def.field(k)
-		if fd == nil {
-			return ModelSpec{}, fmt.Errorf("repro: spec kind %q has no field %q (valid fields: %s)", kind, k, def.fieldKeys())
-		}
-		if _, dup := vals[k]; dup {
-			return ModelSpec{}, fmt.Errorf("repro: spec %q sets field %q twice", raw, k)
-		}
-		canon, err := fd.normalise(v)
-		if err != nil {
-			return ModelSpec{}, fmt.Errorf("repro: spec %q: field %q: %w", raw, k, err)
-		}
-		vals[k] = canon
-	}
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			spec.fields = append(spec.fields, specField{fd.key, v})
-		}
+	var err error
+	if spec.fields, err = fields.Parse(body); err != nil {
+		return ModelSpec{}, fmt.Errorf("repro: spec %q: %w", raw, err)
 	}
 	return spec, nil
 }
@@ -326,11 +255,11 @@ func (s ModelSpec) Build() (*Model, error) {
 		}
 		return mk(), nil
 	}
-	def := specKindDefs[s.kind]
-	if def == nil {
+	build := specBuilders[s.kind]
+	if build == nil {
 		return nil, fmt.Errorf("repro: unknown spec kind %q", s.kind)
 	}
-	return def.build(s)
+	return build(s)
 }
 
 // --- delta / stack parsing ---
@@ -382,41 +311,8 @@ func parseStack(s string) ([]string, error) {
 
 // --- field definitions ---
 
-type fieldDef struct {
-	key string
-	// intRange marks plain-integer fields, whose sweep values may be
-	// written as an inclusive lo:hi range; fields whose values carry
-	// their own ':' (hist) or are non-numeric must use explicit lists.
-	intRange  bool
-	normalise func(string) (string, error)
-}
-
-type specKindDef struct {
-	kind    string
-	stacked bool // body starts with a '+'-joined component stack
-	fields  []fieldDef
-	build   func(ModelSpec) (*Model, error)
-}
-
-func (d *specKindDef) field(key string) *fieldDef {
-	for i := range d.fields {
-		if d.fields[i].key == key {
-			return &d.fields[i]
-		}
-	}
-	return nil
-}
-
-func (d *specKindDef) fieldKeys() string {
-	keys := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		keys[i] = f.key
-	}
-	return strings.Join(keys, ", ")
-}
-
-func intField(key string, min, max int) fieldDef {
-	return fieldDef{key: key, intRange: true, normalise: func(v string) (string, error) {
+func intField(key string, min, max int) specfield.Field {
+	return specfield.Field{Key: key, IntRange: true, Normalise: func(v string) (string, error) {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			return "", fmt.Errorf("%q is not an integer", v)
@@ -428,8 +324,8 @@ func intField(key string, min, max int) fieldDef {
 	}}
 }
 
-func uintField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func uintField(key string) specfield.Field {
+	return specfield.Field{Key: key, Normalise: func(v string) (string, error) {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			return "", fmt.Errorf("%q is not an unsigned integer", v)
@@ -438,8 +334,8 @@ func uintField(key string) fieldDef {
 	}}
 }
 
-func boolField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func boolField(key string) specfield.Field {
+	return specfield.Field{Key: key, Normalise: func(v string) (string, error) {
 		switch v {
 		case "1", "true":
 			return "1", nil
@@ -455,8 +351,8 @@ func boolField(key string) fieldDef {
 // power of two, so this is generous without being an allocation hazard.
 const maxSpecHist = 65536
 
-func histField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func histField(key string) specfield.Field {
+	return specfield.Field{Key: key, Normalise: func(v string) (string, error) {
 		lo, hi, ok := strings.Cut(v, ":")
 		if !ok {
 			return "", fmt.Errorf("%q is not a min:max history pair (e.g. 6:2000)", v)
@@ -475,8 +371,8 @@ func histField(key string) fieldDef {
 
 // tageCoreFields are the fields configuring a TAGE core; the composed
 // kind reuses them for its core (ium there is a stack component instead).
-func tageCoreFields(withIUM bool) []fieldDef {
-	fs := []fieldDef{
+func tageCoreFields(withIUM bool) specfield.Fields {
+	fs := specfield.Fields{
 		intField("tables", 1, tage.MaxTables),
 		intField("log", 6, 30),
 		intField("tag", 4, 16),
@@ -490,33 +386,26 @@ func tageCoreFields(withIUM bool) []fieldDef {
 	return append(fs, boolField("banked"), uintField("seed"))
 }
 
-var specKindDefs = map[string]*specKindDef{
-	"tage": {
-		kind:   "tage",
-		fields: tageCoreFields(true),
-		build:  buildTageSpec,
-	},
-	"gshare": {
-		kind:   "gshare",
-		fields: []fieldDef{intField("log", 8, 30)},
-		build:  buildGshareSpec,
-	},
+// SpecGrammar declares the fields of every parameterised kind, in
+// canonical order. The composed kind's body starts with its component
+// stack; the fields follow it.
+var SpecGrammar = specfield.Grammar{
+	"tage":   tageCoreFields(true),
+	"gshare": {intField("log", 8, 30)},
 	"gehl": {
-		kind: "gehl",
-		fields: []fieldDef{
-			intField("tables", 2, gehl.MaxTables),
-			intField("log", 6, 30),
-			intField("ctr", 2, 8),
-			histField("hist"),
-		},
-		build: buildGehlSpec,
+		intField("tables", 2, gehl.MaxTables),
+		intField("log", 6, 30),
+		intField("ctr", 2, 8),
+		histField("hist"),
 	},
-	"composed": {
-		kind:    "composed",
-		stacked: true,
-		fields:  tageCoreFields(false),
-		build:   buildComposedSpec,
-	},
+	"composed": tageCoreFields(false),
+}
+
+var specBuilders = map[string]func(ModelSpec) (*Model, error){
+	"tage":     buildTageSpec,
+	"gshare":   buildGshareSpec,
+	"gehl":     buildGehlSpec,
+	"composed": buildComposedSpec,
 }
 
 // --- typed field readers (values are pre-normalised by ParseSpec) ---

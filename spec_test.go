@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/specfield"
 )
 
 // --- round-trip property ---
@@ -287,9 +289,10 @@ func TestSpecWithFieldAndDelta(t *testing.T) {
 	}
 }
 
-// TestSweepSpecs covers the -sweep expansion helper.
+// TestSweepSpecs covers the -sweep expansion of model specs through the
+// shared sweep.
 func TestSweepSpecs(t *testing.T) {
-	out, err := SweepSpecs([]string{"tage:tables=13"}, "tables", []string{"11", "12", "13"})
+	out, err := specfield.Sweep([]string{"tage:tables=13"}, "tables", []string{"11", "12", "13"}, ParseSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,42 +305,8 @@ func TestSweepSpecs(t *testing.T) {
 			t.Fatalf("sweep produced %v, want %v", out, want)
 		}
 	}
-	if _, err := SweepSpecs([]string{"tage", "tage:log=11"}, "log", []string{"11"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := specfield.Sweep([]string{"tage", "tage:log=11"}, "log", []string{"11"}, ParseSpec); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate sweep error: %v", err)
-	}
-}
-
-// TestSplitSpecList: the comma-separated model list splits at spec
-// boundaries, not at every comma, so multi-field specs survive flag
-// transport.
-func TestSplitSpecList(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"tage,gshare", []string{"tage", "gshare"}},
-		{"tage:tables=9,hist=6:500,gshare:log=14", []string{"tage:tables=9,hist=6:500", "gshare:log=14"}},
-		{"composed:tage+ium+lsc,tables=10,tage@+2", []string{"composed:tage+ium+lsc,tables=10", "tage@+2"}},
-		{"tage-lsc@+1,tage:log=11,tag=8", []string{"tage-lsc@+1", "tage:log=11,tag=8"}},
-		{" tage , gehl:tables=5,ctr=4 ", []string{"tage", "gehl:tables=5,ctr=4"}},
-		{"hist=6:500", []string{"hist=6:500"}}, // not a spec start: one (bad) spec for ParseSpec to reject
-		{"", nil},
-	}
-	for _, c := range cases {
-		got := SplitSpecList(c.in)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitSpecList(%q) = %v, want %v", c.in, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("SplitSpecList(%q) = %v, want %v", c.in, got, c.want)
-			}
-		}
-		// Every produced segment must round-trip through the matrix
-		// builder or fail with a spec error — never silently vanish.
-	}
-	if _, err := BenchModels(SplitSpecList("tage:tables=9,hist=6:500,gshare:log=14")); err != nil {
-		t.Fatalf("split specs failed to build: %v", err)
 	}
 }
 
@@ -397,5 +366,9 @@ func TestBenchModelsSpecThreading(t *testing.T) {
 	}
 	if _, err := BenchModels([]string{"tage:tables=9,log=11", "tage:log=11,tables=9"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate canonical error: %v", err)
+	}
+	// Multi-field specs split out of one flag value build.
+	if _, err := BenchModels(specfield.Split("tage:tables=9,hist=6:500,gshare:log=14")); err != nil {
+		t.Fatalf("split specs failed to build: %v", err)
 	}
 }

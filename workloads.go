@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/experiments"
+	"repro/internal/specfield"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -31,7 +32,7 @@ func HardTraces() map[string]bool {
 
 // GenerateTrace materialises `branches` branches of a workload
 // deterministically. The spec may be a benchmark name ("INT01"), a
-// generator spec ("phased:period=4096#1" — see WorkloadKinds), or an
+// generator spec ("phased:period=4096#1" — see WorkloadKindSummaries), or an
 // external trace ("file:path.bpt"). Errors on an unknown or malformed
 // spec or a non-positive branch count.
 func GenerateTrace(spec string, branches int) (*Trace, error) {
@@ -55,30 +56,16 @@ func MustGenerateTrace(spec string, branches int) *Trace {
 	return tr
 }
 
-// WorkloadKinds lists the parameterised workload generator kinds the
-// trace-spec grammar accepts (loopy, callret, datadep, phased,
-// ctxflush, mix).
-func WorkloadKinds() []string { return workload.Kinds() }
-
 // WorkloadKindSummaries renders one line per workload kind — its fields
 // with defaults and what it generates — for CLI listings.
 func WorkloadKindSummaries() []string { return workload.KindSummaries() }
-
-// SplitTraceList splits a comma-separated -traces flag value into
-// patterns the spec-aware way: commas inside a generator spec's field
-// list stay part of that spec.
-func SplitTraceList(s string) []string { return workload.SplitPatterns(s) }
 
 // SweepTraceSpecs expands one generator field across values for every
 // base trace spec (the bpbench -trace-sweep axis), returning canonical
 // spec strings and erroring on duplicates.
 func SweepTraceSpecs(bases []string, key string, values []string) ([]string, error) {
-	return workload.SweepSpecs(bases, key, values)
+	return specfield.Sweep(bases, key, values, workload.ParseTraceSpec)
 }
-
-// TraceFieldSweepsAsRange reports whether -trace-sweep may expand the
-// field from an inclusive lo:hi integer range.
-func TraceFieldSweepsAsRange(key string) bool { return workload.FieldSweepsAsRange(key) }
 
 // TraceConvertStats reports what an external-trace conversion consumed
 // and kept.
