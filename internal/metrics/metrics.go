@@ -224,15 +224,11 @@ func (f *family) child(labelValues []string) any {
 
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
+// family returns the registered family for name, creating it on first
+// use. Names and labels are validated only on creation: an existing
+// family was checked when it was made, and a lookup must stay
+// allocation-free (the regexp machine can allocate).
 func (r *Registry) family(name, help, typ string, labels []string, buckets []float64, mk func() any) *family {
-	if !nameRE.MatchString(name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
-	}
-	for _, l := range labels {
-		if !nameRE.MatchString(l) || strings.HasPrefix(l, "__") {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %s", l, name))
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
@@ -241,6 +237,14 @@ func (r *Registry) family(name, help, typ string, labels []string, buckets []flo
 				name, f.typ, f.labels, typ, labels))
 		}
 		return f
+	}
+	if !nameRE.MatchString(name) {
+		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
+	}
+	for _, l := range labels {
+		if !nameRE.MatchString(l) || strings.HasPrefix(l, "__") {
+			panic(fmt.Sprintf("metrics: invalid label name %q on %s", l, name))
+		}
 	}
 	f := &family{name: name, help: help, typ: typ, labels: labels, buckets: buckets, make: mk, children: make(map[string]any)}
 	r.families[name] = f
