@@ -117,28 +117,11 @@ func Run(m *Matrix, cfg Config, sink Sink) (*Summary, error) {
 	return RunJobs(jobs, cfg, sink)
 }
 
-// RunJobs executes an already-expanded job list (see Matrix.Expand).
+// RunJobs executes an already-expanded job list (see Matrix.Expand): a
+// resume that reuses nothing. Every cell carries cfg.Provenance, so the
+// aggregates over them do too.
 func RunJobs(jobs []Job, cfg Config, sink Sink) (*Summary, error) {
-	sum := &Summary{Jobs: len(jobs)}
-	rm := newRunMetrics(cfg.Metrics)
-	rm.beginRun(len(jobs), 0)
-	emit, emitErr := emitter(sum, sink, rm)
-	results := executeJobs(jobs, cfg, rm, func(r Record) {
-		if r.Failed() {
-			sum.Failed++
-		}
-		emit(r)
-	})
-	sum.Merged = results
-	if *emitErr == nil && !cfg.NoAggregates {
-		for _, agg := range Aggregate(results) {
-			// Every cell of a single run carries cfg.Provenance, so the
-			// rollups over them truthfully do too.
-			agg.Provenance = cfg.Provenance
-			emit(agg)
-		}
-	}
-	return sum, closeSink(sink, *emitErr)
+	return RunResume(&ResumePlan{Jobs: jobs, Todo: jobs}, cfg, sink)
 }
 
 // runnerArena holds one worker's pooled run functions, keyed by the
