@@ -556,8 +556,9 @@ func splitList(s string) []string {
 
 // parseSweep parses a sweep axis (-sweep for model specs, -trace-sweep
 // for workload specs): "key=lo:hi" (an inclusive integer range, for
-// fields the axis grammar g declares integer-valued) or "key=v1,v2,..." (verbatim values — the form for
-// fields whose values themselves contain ':', like hist=6:500,6:2000).
+// fields the axis grammar g declares integer-valued) or "key=v1,v2,..."
+// (verbatim values — the form for fields whose values themselves
+// contain ':', like hist=6:500,6:2000).
 func parseSweep(s, flagName string, g specfield.Grammar) (key string, values []string, err error) {
 	key, rest, ok := strings.Cut(s, "=")
 	key = strings.TrimSpace(key)
